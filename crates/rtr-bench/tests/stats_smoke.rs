@@ -6,12 +6,25 @@
 //! Run with: `cargo test -p rtr-bench --features stats --test stats_smoke`
 #![cfg(feature = "stats")]
 
+use std::sync::{Mutex, MutexGuard};
+
 use rtr_bench::alias_chain_src;
 use rtr_core::check::Checker;
 use rtr_lang::check_source;
 
+/// Serializes the tests of this binary. They share the process-wide
+/// interner and counters, so a neighbour interning new trees while
+/// another test measures would break that test's before/after deltas.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 #[test]
 fn alias_chain_hits_the_memo_tables() {
+    let _serial = serial();
     let checker = Checker::default();
     let src = alias_chain_src(16);
     check_source(&src, &checker).expect("alias chain checks");
@@ -40,15 +53,14 @@ fn alias_chain_hits_the_memo_tables() {
 
 #[test]
 fn env_maps_share_structure_and_fresh_names_stay_out_of_the_permanent_arena() {
+    let _serial = serial();
     let checker = Checker::default();
     // dot-prod mints ghost existentials (fresh names) at every
     // application whose argument has no symbolic object — the workload
     // whose goals used to leak permanent arena entries per check.
     let src = rtr_bench::dot_prod_module_src(2);
     // Warm-up: let first-seen trees (annotations, Δ-table instantiations)
-    // populate the permanent arena — including every source the *other*
-    // tests in this binary check, since they share the global interner
-    // and run concurrently.
+    // populate the permanent arena.
     for warm in [
         src.clone(),
         alias_chain_src(16),
@@ -97,6 +109,7 @@ fn env_maps_share_structure_and_fresh_names_stay_out_of_the_permanent_arena() {
 
 #[test]
 fn lazy_split_scheduler_defers_irrelevant_clauses() {
+    let _serial = serial();
     use rtr_core::env::Env;
     use rtr_core::syntax::{BvCmp, LinCmp, Obj, Prop, Symbol, Ty};
     const FUEL: u32 = 64;
@@ -150,6 +163,7 @@ fn lazy_split_scheduler_defers_irrelevant_clauses() {
 
 #[test]
 fn string_module_hits_the_regex_session() {
+    let _serial = serial();
     let checker = Checker::default();
     let src = rtr_bench::string_module_src(8);
     check_source(&src, &checker).expect("string module checks");
@@ -171,6 +185,7 @@ fn string_module_hits_the_regex_session() {
 
 #[test]
 fn theory_heavy_programs_hit_the_solver_caches() {
+    let _serial = serial();
     // A scaled dot-prod module: every function re-poses alpha-renamed
     // copies of the same linear systems, so the canonical-fingerprint
     // verdict table must both be consulted and actually hit.

@@ -53,19 +53,8 @@ pub(crate) mod big_stack {
     /// caller can fall back to a one-shot scoped thread. A worker killed
     /// by an earlier panic is respawned transparently.
     pub(crate) fn run<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> Option<R> {
-        try_run(f).ok()
-    }
-
-    /// Like [`run`], but hands the closure back when the worker is busy so
-    /// the caller can fall back to a one-shot thread without cloning the
-    /// captured state.
-    pub(crate) fn try_run<R, F>(f: F) -> Result<R, F>
-    where
-        R: Send + 'static,
-        F: FnOnce() -> R + Send + 'static,
-    {
         let Ok(mut guard) = worker().try_lock() else {
-            return Err(f);
+            return None;
         };
         let (rtx, rrx) = channel();
         let job: Job = Box::new(move || {
@@ -81,7 +70,7 @@ pub(crate) mod big_stack {
         }
         // A dropped sender without a result means the job panicked:
         // mirror the scoped path's join().expect(..).
-        Ok(rrx.recv().expect("checker thread must not panic"))
+        Some(rrx.recv().expect("checker thread must not panic"))
     }
 }
 
@@ -99,8 +88,6 @@ pub(crate) fn attach_node(mut d: Box<Diagnostic>, node: Option<NodeId>) -> Box<D
 /// Extracts the human-readable payload of a caught panic for an `E0203`
 /// internal-error diagnostic. `panic!("...")` payloads are `&str` or
 /// `String`; anything else gets a fixed placeholder.
-/// Extracts the human-readable message from a caught panic payload, for
-/// rendering an isolated internal error (`E0203`) diagnostic.
 pub fn panic_detail(p: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = p.downcast_ref::<&str>() {
         (*s).to_owned()
@@ -411,28 +398,6 @@ impl Checker {
             match big_stack::run(move || that.check_program_caught(&owned)) {
                 Some(r) => r,
                 None => this.on_big_stack(|| this.check_program_caught(e)),
-            }
-        };
-        this.budget.note_margin();
-        r.map_err(|d| this.degrade_to_exhausted(d, || "this program".to_owned()))
-    }
-
-    /// [`Checker::check_program`] by move: deep programs ship the owned
-    /// AST to the big-stack worker instead of cloning it (a 256-binder
-    /// chain costs a triple-digit-microsecond copy otherwise). Prefer
-    /// this whenever the caller is done with the expression.
-    #[allow(clippy::result_large_err)]
-    pub fn check_program_owned(&self, e: Expr) -> Result<TyResult, Diagnostic> {
-        let this = self.fork_check();
-        let _live = crate::intern::check_guard();
-        this.caches.reconcile_evictions();
-        let r = if this.fits_inline_stack(&e) {
-            this.check_program_caught(&e)
-        } else {
-            let that = this.clone();
-            match big_stack::try_run(move || that.check_program_caught(&e)) {
-                Ok(r) => r,
-                Err(job) => this.on_big_stack(job),
             }
         };
         this.budget.note_margin();

@@ -3,10 +3,12 @@
 //! [`crate::check::Checker::check_module`] re-derives every item's
 //! verdict from scratch. Editor traffic is the opposite workload:
 //! thousands of re-checks where one definition changed and forty-nine
-//! did not. This module adds a second driver,
-//! [`Checker::check_module_incremental`], that replays the previous
-//! run's per-item results wherever doing so is *provably* equivalent to
-//! re-checking.
+//! did not. [`Checker::check_module_incremental`] walks the same item
+//! loop, but replays the previous run's per-item results wherever doing
+//! so is *provably* equivalent to re-checking. Every item it does
+//! re-check goes through the module-item judgment `check_module` runs
+//! (see [`crate::module`]), so the two drivers share one item rule and
+//! differ only in the per-item records this one keeps for its next run.
 //!
 //! # Soundness argument
 //!
@@ -48,17 +50,14 @@
 //! environment snapshots are not comparable.
 
 use std::collections::HashSet;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use crate::budget::LimitKind;
-use crate::check::{attach_node, panic_detail, Checker};
-use crate::diag::Diagnostic;
+use crate::check::Checker;
 use crate::env::Env;
-use crate::fingerprint::{free_refs, item_fingerprint, item_salt};
-use crate::module::{ItemSummary, ModuleCheck, ModuleItem};
+use crate::fingerprint::{free_refs, item_fingerprint};
+use crate::module::{ItemStep, ItemSummary, ModuleCheck, ModuleItem, ModuleRun};
 use crate::mutation::mutated_vars;
-use crate::syntax::{Obj, Prop, Symbol, Ty, TyResult};
+use crate::syntax::{Obj, Symbol, Ty, TyResult};
 
 /// The reusable outcome of one *cleanly* checked item.
 #[derive(Clone, Debug)]
@@ -281,18 +280,20 @@ impl Checker {
         // Mutation pre-pass over the whole module (matching
         // `check_module`'s): the union of every item's `set!`-mutated
         // variables. Reused slots contribute their recorded set without
-        // being elaborated.
+        // being elaborated; fresh slots keep theirs for their records.
         let mut mutated: HashSet<Symbol> = HashSet::new();
+        let mut fresh_muts: Vec<Option<Vec<Symbol>>> = Vec::with_capacity(slots.len());
         for slot in slots {
             match slot {
                 IncrSlot::Fresh(item) => {
-                    if let Some(e) = item.body() {
-                        mutated.extend(mutated_vars(e));
-                    }
+                    let muts = item_mutated(item);
+                    mutated.extend(muts.iter().copied());
+                    fresh_muts.push(Some(muts));
                 }
                 IncrSlot::Reused(j) => {
                     let rec = old.and_then(|c| c.records.get(*j))?;
                     mutated.extend(rec.mutated.iter().copied());
+                    fresh_muts.push(None);
                 }
             }
         }
@@ -325,16 +326,8 @@ impl Checker {
             }
         }
 
-        let fuel = this.config().logic_fuel;
-        let mut env = Env::new();
-        for x in &mutated {
-            env.mark_mutable(*x);
-        }
-        let init_env = env.clone();
-
-        let mut out = ModuleCheck::default();
-        let mut degraded: Option<LimitKind> = None;
-        let mut binders: Vec<(Symbol, Ty, Obj)> = Vec::new();
+        let mut run = ModuleRun::new(mutated.iter().copied());
+        let init_env = run.env.clone();
         let mut records: Vec<Arc<ItemRecord>> = Vec::new();
         let mut stats = RecheckStats::default();
         // Names of items re-checked so far this run, for the
@@ -345,7 +338,6 @@ impl Checker {
         // old record by position + fingerprint.
         let mut cursor: usize = 0;
         let n = slots.len();
-        let mut saw_trailing = false;
 
         for (i, slot) in slots.iter().enumerate() {
             let is_last_slot = i + 1 == n;
@@ -398,7 +390,7 @@ impl Checker {
                     } else {
                         &c.records[cand_idx - 1].env_after
                     };
-                    env.same_contents(prev)
+                    run.env.same_contents(prev)
                 }
             };
 
@@ -409,16 +401,13 @@ impl Checker {
                 if rec.free_refs.iter().any(|s| rechecked_names.contains(s)) {
                     stats.cutoff_stopped += 1;
                 }
-                env = rec.env_after.clone();
-                out.results.push(ru.summary.clone());
+                run.env = rec.env_after.clone();
+                run.out.results.push(ru.summary.clone());
                 if let Some(b) = &ru.binder {
-                    binders.push(b.clone());
+                    run.binders.push(b.clone());
                 }
-                if ru.summary.name.is_none() {
-                    saw_trailing = true;
-                    if let Some(v) = &ru.value {
-                        out.value = Some(v.clone());
-                    }
+                if let Some(v) = &ru.value {
+                    run.out.value = Some(v.clone());
                 }
                 records.push(rec);
                 continue;
@@ -438,198 +427,31 @@ impl Checker {
             if let Some(name) = item.name() {
                 rechecked_names.insert(name);
             }
-            if matches!(item, ModuleItem::Expr { .. }) {
-                saw_trailing = true;
+
+            let results_before = run.out.results.len();
+            let binders_before = run.binders.len();
+            let ItemStep { value, clean } = this.check_item(&mut run, &item, is_last_slot);
+            if value.is_some() {
+                run.out.value.clone_from(&value);
             }
-
-            let results_before = out.results.len();
-            let diags_before = out.diagnostics.len();
-            let binders_before = binders.len();
-            let c = this.fork_item(item_salt(&item));
-            let mut value_here: Option<TyResult> = None;
-
-            match &item {
-                ModuleItem::DefineRec {
-                    name,
-                    sig,
-                    lam,
-                    node,
-                    sig_node,
-                } => {
-                    c.chaos_item_entry();
-                    let ctx = || format!("(define ({name} …) …)");
-                    let caught = catch_unwind(AssertUnwindSafe(|| {
-                        c.chaos_item_panic();
-                        c.bind(&mut env, *name, sig, fuel);
-                        c.check_lambda(&env, lam, sig, &ctx)
-                    }));
-                    c.budget().note_margin();
-                    match caught {
-                        Ok(Ok(())) => out.results.push(ItemSummary {
-                            span: None,
-                            name: Some(*name),
-                            ty: Some(sig.clone()),
-                            poisoned: false,
-                        }),
-                        Ok(Err(d)) => {
-                            let d = c.degrade_with(
-                                *attach_node(d, *node),
-                                c.budget().tripped().or(degraded),
-                                ctx,
-                            );
-                            this.poison(&mut out, d, *name, sig, *sig_node);
-                        }
-                        Err(p) => {
-                            c.bind(&mut env, *name, sig, fuel);
-                            let d = Diagnostic::ice(ctx(), panic_detail(&*p)).at(*node);
-                            this.poison(&mut out, d, *name, sig, *sig_node);
-                        }
-                    }
-                    binders.push((*name, sig.clone(), Obj::Null));
-                }
-                ModuleItem::Define {
-                    name,
-                    sig,
-                    rhs,
-                    node,
-                    sig_node,
-                } => {
-                    c.chaos_item_entry();
-                    let caught = catch_unwind(AssertUnwindSafe(|| {
-                        c.chaos_item_panic();
-                        let r1 = c.synth(&env, rhs)?;
-                        let (o1, mutable) = c.open_let_binding(&mut env, *name, &r1);
-                        Ok((r1, o1, mutable))
-                    }));
-                    c.budget().note_margin();
-                    match caught {
-                        Ok(Ok((r1, o1, mutable))) => {
-                            let lift_obj = if mutable { Obj::Null } else { o1 };
-                            binders.push((*name, r1.ty.clone(), lift_obj));
-                            out.results.push(ItemSummary {
-                                span: None,
-                                name: Some(*name),
-                                ty: Some(r1.ty),
-                                poisoned: false,
-                            });
-                        }
-                        Ok(Err(d)) => {
-                            let assumed = sig.clone().unwrap_or(Ty::Top);
-                            this.bind(&mut env, *name, &assumed, fuel);
-                            binders.push((*name, assumed.clone(), Obj::Null));
-                            let d = c.degrade_with(
-                                *attach_node(d, *node),
-                                c.budget().tripped().or(degraded),
-                                || format!("(define {name} …)"),
-                            );
-                            this.poison(&mut out, d, *name, &assumed, *sig_node);
-                        }
-                        Err(p) => {
-                            let assumed = sig.clone().unwrap_or(Ty::Top);
-                            this.bind(&mut env, *name, &assumed, fuel);
-                            binders.push((*name, assumed.clone(), Obj::Null));
-                            let d =
-                                Diagnostic::ice(format!("(define {name} …)"), panic_detail(&*p))
-                                    .at(*node);
-                            this.poison(&mut out, d, *name, &assumed, *sig_node);
-                        }
-                    }
-                }
-                ModuleItem::Opaque { name, ty } => {
-                    this.bind(&mut env, *name, ty, fuel);
-                    binders.push((*name, ty.clone(), Obj::Null));
-                    out.results.push(ItemSummary {
-                        span: None,
-                        name: Some(*name),
-                        ty: Some(ty.clone()),
-                        poisoned: true,
-                    });
-                }
-                ModuleItem::Expr { expr, node } => {
-                    c.chaos_item_entry();
-                    let caught = catch_unwind(AssertUnwindSafe(|| {
-                        c.chaos_item_panic();
-                        c.synth(&env, expr)
-                    }));
-                    c.budget().note_margin();
-                    match caught {
-                        Ok(Ok(r)) => {
-                            if is_last_slot {
-                                value_here = Some(r.clone());
-                                out.value = Some(r);
-                            } else {
-                                let tmp = Symbol::fresh("ignored");
-                                let (o1, mutable) = this.open_let_binding(&mut env, tmp, &r);
-                                let lift_obj = if mutable { Obj::Null } else { o1 };
-                                binders.push((tmp, r.ty.clone(), lift_obj));
-                            }
-                            out.results.push(ItemSummary {
-                                span: None,
-                                name: None,
-                                ty: value_here.as_ref().map(|r| r.ty.clone()),
-                                poisoned: false,
-                            });
-                        }
-                        Ok(Err(d)) => {
-                            let d = c.degrade_with(
-                                *attach_node(d, *node),
-                                c.budget().tripped().or(degraded),
-                                || "this expression".to_owned(),
-                            );
-                            out.diagnostics.push(d);
-                            out.results.push(ItemSummary {
-                                span: None,
-                                name: None,
-                                ty: None,
-                                poisoned: false,
-                            });
-                        }
-                        Err(p) => {
-                            out.diagnostics.push(
-                                Diagnostic::ice("this expression".to_owned(), panic_detail(&*p))
-                                    .at(*node),
-                            );
-                            out.results.push(ItemSummary {
-                                span: None,
-                                name: None,
-                                ty: None,
-                                poisoned: false,
-                            });
-                        }
-                    }
-                }
-            }
-            degraded = degraded.or(c.budget().tripped());
-
-            // Build this slot's record. Results are reusable only for
-            // items that checked cleanly on an untripped fork: a
-            // diagnostic or a tripped budget means the verdict may be
-            // degraded, and degraded verdicts are never cached.
-            let clean = out.diagnostics.len() == diags_before && c.budget().tripped().is_none();
+            // Results are reusable only for items that checked cleanly
+            // on an untripped fork: a diagnostic or a tripped budget
+            // means the verdict may be degraded, and degraded verdicts
+            // are never cached.
             let reuse = clean.then(|| ReuseData {
-                summary: out.results[results_before].clone(),
-                binder: binders.get(binders_before).cloned(),
-                value: value_here,
+                summary: run.out.results[results_before].clone(),
+                binder: run.binders.get(binders_before).cloned(),
+                value,
             });
-            let muts = item
-                .body()
-                .map(|e| mutated_vars(e).into_iter().collect())
-                .unwrap_or_default();
             records.push(Arc::new(ItemRecord {
                 fp: item_fingerprint(&item),
                 free_refs: free_refs(&item),
-                mutated: muts,
-                env_after: env.clone(),
+                mutated: fresh_muts[i].take().unwrap_or_else(|| item_mutated(&item)),
+                env_after: run.env.clone(),
                 reuse,
             }));
         }
-
-        if !saw_trailing {
-            out.value = Some(TyResult::new(Ty::True, Prop::TT, Prop::FF, Obj::Null));
-        }
-        if let Some(v) = out.value.take() {
-            out.value = Some(v.lift_subst_all(&binders));
-        }
+        let out = run.finish();
 
         #[cfg(feature = "stats")]
         stats::accumulate(&stats);
@@ -642,6 +464,13 @@ impl Checker {
         };
         Some((out, cache, stats))
     }
+}
+
+/// The `set!`-mutated variables of one item's body.
+fn item_mutated(item: &ModuleItem) -> Vec<Symbol> {
+    item.body()
+        .map(|e| mutated_vars(e).into_iter().collect())
+        .unwrap_or_default()
 }
 
 #[cfg(test)]

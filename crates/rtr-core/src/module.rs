@@ -5,8 +5,10 @@
 //! *every* check site in a library — needs the opposite: check a whole
 //! module and report **all** of its diagnostics. This module provides
 //! the item-structured representation ([`ModuleItem`]) the surface
-//! language elaborates into and the recovering driver
-//! ([`Checker::check_module`]).
+//! language elaborates into and the one module-item judgment
+//! (`Checker::check_item`) both module drivers run: the from-scratch
+//! [`Checker::check_module`] and the cache-splicing
+//! [`Checker::check_module_incremental`].
 //!
 //! Recovery works by *poisoning*: when a definition fails to check, its
 //! binding is entered into the environment at its **declared** type (the
@@ -20,7 +22,7 @@
 //! checker's shared `open_let_binding` and `letrec` binding logic —
 //! so a module is clean under `check_module` exactly when
 //! `check_program` accepts its nested encoding (the corpus equivalence
-//! tests pin this).
+//! tests and the surface layer's nested-encoding oracle pin this).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -90,6 +92,16 @@ impl ModuleItem {
             ModuleItem::DefineRec { lam, .. } => Some(&lam.body),
             ModuleItem::Define { rhs, .. } => Some(rhs),
             ModuleItem::Expr { expr, .. } => Some(expr),
+            ModuleItem::Opaque { .. } => None,
+        }
+    }
+
+    /// The span node of the item's form (`None` for opaque items).
+    pub fn node(&self) -> Option<NodeId> {
+        match self {
+            ModuleItem::DefineRec { node, .. }
+            | ModuleItem::Define { node, .. }
+            | ModuleItem::Expr { node, .. } => *node,
             ModuleItem::Opaque { .. } => None,
         }
     }
@@ -174,264 +186,272 @@ impl Checker {
             .filter_map(ModuleItem::body)
             .any(|e| !this.fits_inline_stack(e));
         if !deep {
-            return this.check_module_inner(items);
+            return this.check_items(items);
         }
         // Deep modules ride the persistent big-stack worker (warm stack
         // pages) when it is free; see `check_program`.
         let that = this.clone();
         let owned = items.to_vec();
-        match crate::check::big_stack::run(move || that.check_module_inner(&owned)) {
+        match crate::check::big_stack::run(move || that.check_items(&owned)) {
             Some(r) => r,
-            None => this.on_big_stack(|| this.check_module_inner(items)),
+            None => this.on_big_stack(|| this.check_items(items)),
         }
     }
 
-    fn check_module_inner(&self, items: &[ModuleItem]) -> ModuleCheck {
-        let fuel = self.config().logic_fuel;
-        let mut env = Env::new();
-        for item in items {
-            if let Some(e) = item.body() {
-                for x in mutated_vars(e) {
-                    env.mark_mutable(x);
-                }
+    /// The from-scratch item loop: every item, in check order, through
+    /// [`Checker::check_item`].
+    fn check_items(&self, items: &[ModuleItem]) -> ModuleCheck {
+        let mut run = ModuleRun::new(
+            items
+                .iter()
+                .filter_map(ModuleItem::body)
+                .flat_map(mutated_vars),
+        );
+        let n = items.len();
+        for (i, item) in check_order(items).enumerate() {
+            if let Some(v) = self.check_item(&mut run, item, i + 1 == n).value {
+                run.out.value = Some(v);
             }
         }
+        run.finish()
+    }
 
-        let mut out = ModuleCheck::default();
-        // The first governance limit that tripped in *any* earlier item.
-        // Once set, later items ran against possibly-coarser bindings
-        // (a starved definition poisons at its declared type, weakening
-        // everything downstream), so their conservative failures are
-        // reported as `E0202` too — a starved run's errors are exactly
-        // "identical to fault-free, or exhausted", never a different
-        // verdict. Item panics do *not* set it: the post-ICE environment
-        // equals the ordinary poison-path environment.
-        let mut degraded: Option<LimitKind> = None;
-        // The binders opened along the way, innermost last. The nested
-        // encoding existentializes every module-local binding out of
-        // the final result at binder exit (T-Let's lifting
-        // substitution); the item loop replays the same lifts on the
-        // value before reporting it, so the module's value never
-        // mentions out-of-scope names.
-        let mut binders: Vec<(Symbol, Ty, Obj)> = Vec::new();
+    /// The module-item judgment, shared by [`Checker::check_module`] and
+    /// [`Checker::check_module_incremental`]: checks `item` under
+    /// `run.env` and records its summary, diagnostic and binder in `run`.
+    ///
+    /// A definition extends the environment with its binding; one that
+    /// fails is *poisoned* (bound at its declared type, `Any` without a
+    /// signature). A trailing expression that is not `last` is opened as
+    /// a fresh-named `let` binder (mirroring `begin_form`'s let chain);
+    /// the `last` one is the module's value, returned unlifted.
+    ///
+    /// Each item checks on its own budget fork (salted by the item's
+    /// *name*, so chaos schedules are independent of thread scheduling
+    /// and stable when an edit inserts or reorders definitions) and
+    /// inside `catch_unwind`: an internal checker bug yields one `E0203`
+    /// ICE for the item, the binding is poisoned, and the rest of the
+    /// module checks normally on the surviving warm caches.
+    pub(crate) fn check_item(
+        &self,
+        run: &mut ModuleRun,
+        item: &ModuleItem,
+        last: bool,
+    ) -> ItemStep {
+        let fuel = self.config().logic_fuel;
+        if let ModuleItem::Opaque { name, ty } = item {
+            self.bind(&mut run.env, *name, ty, fuel);
+            run.binders.push((*name, ty.clone(), Obj::Null));
+            run.out
+                .results
+                .push(summary(Some(*name), Some(ty.clone()), true));
+            return ItemStep {
+                value: None,
+                clean: true,
+            };
+        }
+        let node = item.node();
+        let context = || match item {
+            ModuleItem::DefineRec { name, .. } => format!("(define ({name} …) …)"),
+            ModuleItem::Define { name, .. } => format!("(define {name} …)"),
+            _ => "this expression".to_owned(),
+        };
+        let c = self.fork_item(crate::fingerprint::item_salt(item));
+        c.chaos_item_entry();
+        let env = &mut run.env;
+        // The checked result and, for a `define`, the object its binder
+        // is lifted at.
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            c.chaos_item_panic();
+            match item {
+                ModuleItem::DefineRec { name, sig, lam, .. } => {
+                    c.bind(env, *name, sig, fuel);
+                    c.check_lambda(env, lam, sig, &context)?;
+                    Ok((TyResult::of_type(sig.clone()), Obj::Null))
+                }
+                ModuleItem::Define { name, rhs, .. } => {
+                    let r = c.synth(env, rhs)?;
+                    let (o, mutable) = c.open_let_binding(env, *name, &r);
+                    Ok((r, if mutable { Obj::Null } else { o }))
+                }
+                ModuleItem::Expr { expr, .. } => Ok((c.synth(env, expr)?, Obj::Null)),
+                ModuleItem::Opaque { .. } => unreachable!("bound above"),
+            }
+        }));
+        c.budget().note_margin();
 
-        // Definitions first: every define scopes over all trailing
-        // expressions, exactly as in the nested encoding. Each item
-        // checks on its own budget fork (salted by the item's *name*,
-        // so chaos schedules are independent of thread scheduling and
-        // stable when an edit inserts or reorders definitions) and
-        // inside `catch_unwind`: an internal checker bug yields one
-        // `E0203` ICE for the item, the binding is poisoned at its
-        // declared type, and the rest of the module checks normally on
-        // the surviving warm caches.
-        for item in items {
+        let mut value = None;
+        let failure = match caught {
+            Ok(Ok((r, lift_obj))) => {
+                match item.name() {
+                    Some(name) => {
+                        run.binders.push((name, r.ty.clone(), lift_obj));
+                        run.out.results.push(summary(Some(name), Some(r.ty), false));
+                    }
+                    None if last => {
+                        run.out
+                            .results
+                            .push(summary(None, Some(r.ty.clone()), false));
+                        value = Some(r);
+                    }
+                    None => {
+                        let tmp = Symbol::fresh("ignored");
+                        let (o1, mutable) = self.open_let_binding(env, tmp, &r);
+                        let lift_obj = if mutable { Obj::Null } else { o1 };
+                        run.binders.push((tmp, r.ty, lift_obj));
+                        run.out.results.push(summary(None, None, false));
+                    }
+                }
+                None
+            }
+            Ok(Err(d)) => Some(c.degrade_with(
+                *attach_node(d, node),
+                c.budget().tripped().or(run.degraded),
+                context,
+            )),
+            Err(p) => {
+                if let ModuleItem::DefineRec { name, sig, .. } = item {
+                    // Re-bind: the panic may have interrupted the
+                    // original bind half-way.
+                    c.bind(env, *name, sig, fuel);
+                }
+                Some(Diagnostic::ice(context(), panic_detail(&*p)).at(node))
+            }
+        };
+        let clean = failure.is_none();
+        if let Some(d) = failure {
             match item {
                 ModuleItem::DefineRec {
                     name,
                     sig,
-                    lam,
-                    node,
                     sig_node,
-                } => {
-                    let c = self.fork_item(crate::fingerprint::item_salt(item));
-                    c.chaos_item_entry();
-                    let ctx = || format!("(define ({name} …) …)");
-                    let caught = catch_unwind(AssertUnwindSafe(|| {
-                        c.chaos_item_panic();
-                        c.bind(&mut env, *name, sig, fuel);
-                        c.check_lambda(&env, lam, sig, &ctx)
-                    }));
-                    c.budget().note_margin();
-                    match caught {
-                        Ok(Ok(())) => out.results.push(ItemSummary {
-                            span: None,
-                            name: Some(*name),
-                            ty: Some(sig.clone()),
-                            poisoned: false,
-                        }),
-                        Ok(Err(d)) => {
-                            let d = c.degrade_with(
-                                *attach_node(d, *node),
-                                c.budget().tripped().or(degraded),
-                                ctx,
-                            );
-                            self.poison(&mut out, d, *name, sig, *sig_node);
-                        }
-                        Err(p) => {
-                            // Re-bind: the panic may have interrupted the
-                            // original bind half-way.
-                            c.bind(&mut env, *name, sig, fuel);
-                            let d = Diagnostic::ice(ctx(), panic_detail(&*p)).at(*node);
-                            self.poison(&mut out, d, *name, sig, *sig_node);
-                        }
-                    }
-                    binders.push((*name, sig.clone(), Obj::Null));
-                    degraded = degraded.or(c.budget().tripped());
-                }
+                    ..
+                } => run.poison(d, *name, sig.clone(), *sig_node),
                 ModuleItem::Define {
                     name,
                     sig,
-                    rhs,
-                    node,
                     sig_node,
+                    ..
                 } => {
-                    let c = self.fork_item(crate::fingerprint::item_salt(item));
-                    c.chaos_item_entry();
-                    let caught = catch_unwind(AssertUnwindSafe(|| {
-                        c.chaos_item_panic();
-                        let r1 = c.synth(&env, rhs)?;
-                        let (o1, mutable) = c.open_let_binding(&mut env, *name, &r1);
-                        Ok((r1, o1, mutable))
-                    }));
-                    c.budget().note_margin();
-                    match caught {
-                        Ok(Ok((r1, o1, mutable))) => {
-                            let lift_obj = if mutable { Obj::Null } else { o1 };
-                            binders.push((*name, r1.ty.clone(), lift_obj));
-                            out.results.push(ItemSummary {
-                                span: None,
-                                name: Some(*name),
-                                ty: Some(r1.ty),
-                                poisoned: false,
-                            });
-                        }
-                        Ok(Err(d)) => {
-                            let assumed = sig.clone().unwrap_or(Ty::Top);
-                            self.bind(&mut env, *name, &assumed, fuel);
-                            binders.push((*name, assumed.clone(), Obj::Null));
-                            let d = c.degrade_with(
-                                *attach_node(d, *node),
-                                c.budget().tripped().or(degraded),
-                                || format!("(define {name} …)"),
-                            );
-                            self.poison(&mut out, d, *name, &assumed, *sig_node);
-                        }
-                        Err(p) => {
-                            let assumed = sig.clone().unwrap_or(Ty::Top);
-                            self.bind(&mut env, *name, &assumed, fuel);
-                            binders.push((*name, assumed.clone(), Obj::Null));
-                            let d =
-                                Diagnostic::ice(format!("(define {name} …)"), panic_detail(&*p))
-                                    .at(*node);
-                            self.poison(&mut out, d, *name, &assumed, *sig_node);
-                        }
-                    }
-                    degraded = degraded.or(c.budget().tripped());
+                    let assumed = sig.clone().unwrap_or(Ty::Top);
+                    self.bind(&mut run.env, *name, &assumed, fuel);
+                    run.poison(d, *name, assumed, *sig_node);
                 }
-                ModuleItem::Opaque { name, ty } => {
-                    self.bind(&mut env, *name, ty, fuel);
-                    binders.push((*name, ty.clone(), Obj::Null));
-                    out.results.push(ItemSummary {
-                        span: None,
-                        name: Some(*name),
-                        ty: Some(ty.clone()),
-                        poisoned: true,
-                    });
+                _ => {
+                    run.out.diagnostics.push(d);
+                    run.out.results.push(summary(None, None, false));
                 }
-                ModuleItem::Expr { .. } => {}
             }
         }
+        let tripped = c.budget().tripped();
+        run.degraded = run.degraded.or(tripped);
+        ItemStep {
+            value,
+            clean: clean && tripped.is_none(),
+        }
+    }
+}
 
-        // Trailing expressions: all but the last are opened as
-        // fresh-named `let` bindings (mirroring `begin_form`'s let
-        // chain), the last one is the module's value.
-        let trailing: Vec<(u64, &Expr, Option<NodeId>)> = items
-            .iter()
-            .filter_map(|item| match item {
-                ModuleItem::Expr { expr, node } => {
-                    Some((crate::fingerprint::item_salt(item), expr, *node))
-                }
-                _ => None,
-            })
-            .collect();
-        let count = trailing.len();
-        for (i, (salt, expr, node)) in trailing.into_iter().enumerate() {
-            let c = self.fork_item(salt);
-            c.chaos_item_entry();
-            let caught = catch_unwind(AssertUnwindSafe(|| {
-                c.chaos_item_panic();
-                c.synth(&env, expr)
-            }));
-            c.budget().note_margin();
-            match caught {
-                Ok(Ok(r)) => {
-                    let last = i + 1 == count;
-                    if last {
-                        out.value = Some(r);
-                    } else {
-                        let tmp = Symbol::fresh("ignored");
-                        let (o1, mutable) = self.open_let_binding(&mut env, tmp, &r);
-                        let lift_obj = if mutable { Obj::Null } else { o1 };
-                        binders.push((tmp, r.ty.clone(), lift_obj));
-                    }
-                    out.results.push(ItemSummary {
-                        span: None,
-                        name: None,
-                        ty: out.value.as_ref().map(|r| r.ty.clone()).filter(|_| last),
-                        poisoned: false,
-                    });
-                }
-                Ok(Err(d)) => {
-                    let d = c.degrade_with(
-                        *attach_node(d, node),
-                        c.budget().tripped().or(degraded),
-                        || "this expression".to_owned(),
-                    );
-                    out.diagnostics.push(d);
-                    out.results.push(ItemSummary {
-                        span: None,
-                        name: None,
-                        ty: None,
-                        poisoned: false,
-                    });
-                }
-                Err(p) => {
-                    out.diagnostics.push(
-                        Diagnostic::ice("this expression".to_owned(), panic_detail(&*p)).at(node),
-                    );
-                    out.results.push(ItemSummary {
-                        span: None,
-                        name: None,
-                        ty: None,
-                        poisoned: false,
-                    });
-                }
-            }
-            degraded = degraded.or(c.budget().tripped());
+/// The running state of one module check, threaded through
+/// [`Checker::check_item`] by both module drivers.
+pub(crate) struct ModuleRun {
+    /// The environment reaching the next item.
+    pub(crate) env: Env,
+    /// The report so far.
+    pub(crate) out: ModuleCheck,
+    /// The binders opened along the way, innermost last. The nested
+    /// encoding existentializes every module-local binding out of the
+    /// final result at binder exit (T-Let's lifting substitution);
+    /// [`ModuleRun::finish`] replays the same lifts on the value, so the
+    /// module's value never mentions out-of-scope names.
+    pub(crate) binders: Vec<(Symbol, Ty, Obj)>,
+    /// The first governance limit that tripped in *any* earlier item.
+    /// Once set, later items ran against possibly-coarser bindings (a
+    /// starved definition poisons at its declared type, weakening
+    /// everything downstream), so their conservative failures are
+    /// reported as `E0202` too — a starved run's errors are exactly
+    /// "identical to fault-free, or exhausted", never a different
+    /// verdict. Item panics do *not* set it: the post-ICE environment
+    /// equals the ordinary poison-path environment.
+    degraded: Option<LimitKind>,
+}
+
+/// What [`Checker::check_item`] reports back beyond what it recorded in
+/// the [`ModuleRun`].
+pub(crate) struct ItemStep {
+    /// The unlifted type-result of the module's last trailing
+    /// expression, when this item is that expression and it checked.
+    pub(crate) value: Option<TyResult>,
+    /// Did the item check without a diagnostic on an untripped budget
+    /// fork? Only clean verdicts may be reused by a later run.
+    pub(crate) clean: bool,
+}
+
+impl ModuleRun {
+    /// A run over a module whose `set!`-mutated variables are `mutated`
+    /// (the §4.2 pre-pass), with nothing bound yet.
+    pub(crate) fn new(mutated: impl IntoIterator<Item = Symbol>) -> ModuleRun {
+        let mut env = Env::new();
+        for x in mutated {
+            env.mark_mutable(x);
         }
-        if count == 0 {
-            // The empty module's value is `#t`, as in the nested
-            // encoding.
-            out.value = Some(TyResult::new(Ty::True, Prop::TT, Prop::FF, Obj::Null));
+        ModuleRun {
+            env,
+            out: ModuleCheck::default(),
+            binders: Vec::new(),
+            degraded: None,
         }
-        if let Some(v) = out.value.take() {
-            out.value = Some(v.lift_subst_all(&binders));
-        }
-        out
     }
 
-    pub(crate) fn poison(
-        &self,
-        out: &mut ModuleCheck,
-        d: Diagnostic,
-        name: Symbol,
-        assumed: &Ty,
-        sig_node: Option<NodeId>,
-    ) {
+    /// Reports a failed definition and records it as bound at `assumed`
+    /// (the caller has already bound it so in `env`).
+    fn poison(&mut self, d: Diagnostic, name: Symbol, assumed: Ty, sig_node: Option<NodeId>) {
         let mut d = d.with_note(format!(
             "the definition of {name} is poisoned: later checks assume its declared type {assumed}"
         ));
         if sig_node.is_some() {
             d = d.with_label(sig_node, format!("{name} is declared here"));
         }
-        out.diagnostics.push(d);
-        out.results.push(ItemSummary {
-            span: None,
-            name: Some(name),
-            ty: Some(assumed.clone()),
-            poisoned: true,
-        });
+        self.out.diagnostics.push(d);
+        self.binders.push((name, assumed.clone(), Obj::Null));
+        self.out
+            .results
+            .push(summary(Some(name), Some(assumed), true));
     }
+
+    /// The finished report: the module's value lifted out of every
+    /// binder the run opened. A module without trailing expressions (its
+    /// last item in check order is not one) has the value `#t`, as in
+    /// the nested encoding.
+    pub(crate) fn finish(mut self) -> ModuleCheck {
+        if self.out.results.last().is_none_or(|r| r.name.is_some()) {
+            self.out.value = Some(TyResult::new(Ty::True, Prop::TT, Prop::FF, Obj::Null));
+        }
+        if let Some(v) = self.out.value.take() {
+            self.out.value = Some(v.lift_subst_all(&self.binders));
+        }
+        self.out
+    }
+}
+
+fn summary(name: Option<Symbol>, ty: Option<Ty>, poisoned: bool) -> ItemSummary {
+    ItemSummary {
+        name,
+        ty,
+        poisoned,
+        span: None,
+    }
+}
+
+/// `items` in check order: definitions first (in source order), then
+/// trailing expressions — the order every module driver visits them in
+/// and [`ModuleCheck::results`] lists them in.
+pub fn check_order(items: &[ModuleItem]) -> impl Iterator<Item = &ModuleItem> {
+    let is_expr = |item: &&ModuleItem| matches!(item, ModuleItem::Expr { .. });
+    items
+        .iter()
+        .filter(move |item| !is_expr(item))
+        .chain(items.iter().filter(is_expr))
 }
 
 #[cfg(test)]

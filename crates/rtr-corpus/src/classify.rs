@@ -29,9 +29,8 @@ pub enum Outcome {
 /// recovering checker: clean means no error-severity [`Code`]s, not a
 /// string match against rendered messages. (For well-typed modules the
 /// recovering path builds the same environments as the nested
-/// fail-fast encoding, so this agrees with the historical
-/// `check_source(..).is_ok()` — the `diagnostics_equivalence` tests pin
-/// it.)
+/// fail-fast encoding, so this agrees with `check_program` on that
+/// encoding — the `diagnostics_equivalence` tests pin it.)
 fn verifies(src: &str, checker: &Checker) -> bool {
     check_module_source(src, checker).is_clean()
 }
@@ -216,9 +215,10 @@ mod tests {
 
     #[test]
     fn diagnostics_equivalence_with_the_fail_fast_shim() {
-        // The classifier's verdict source moved from fail-fast
-        // `check_source` to the recovering `check_module_source`; the
-        // two must agree on every staged variant, or fig9 would drift.
+        // The classifier's verdict source is the recovering module
+        // check; it must agree with the fail-fast nested encoding
+        // (`check_program` over `elaborate_module`, the paper's own
+        // driver) on every staged variant, or fig9 would drift.
         let checker = Checker::default();
         for profile in libraries() {
             let lib = generate(&profile, 7);
@@ -231,7 +231,8 @@ mod tests {
                 .into_iter()
                 .flatten()
                 {
-                    let strict = rtr_lang::check_source(src, &checker).is_ok();
+                    let strict = rtr_lang::elaborate_module(src)
+                        .is_ok_and(|e| checker.check_program(&e).is_ok());
                     let report = rtr_lang::check_module_source(src, &checker);
                     assert_eq!(
                         strict,

@@ -26,9 +26,9 @@
 //!   returns a [`ModuleReport`] with *every* diagnostic located in the
 //!   source. This is what [`rtr` sessions][paper] and the corpus
 //!   classifier use.
-//! * [`check_source`] — the historical fail-fast shim (first error
-//!   only), kept for compatibility. Deprecated: prefer
-//!   [`check_module_source`] or the facade's `Session`.
+//! * [`check_source`] — a fail-fast view of the same module check: the
+//!   first syntax error, else the first type error, else the module's
+//!   value type.
 //!
 //! [paper]: https://doi.org/10.1145/2908080.2908091
 
@@ -38,7 +38,7 @@ use std::sync::Arc;
 use rtr_core::check::Checker;
 use rtr_core::diag::{Code, Diagnostic, SpanTable};
 use rtr_core::interp::{eval_program, EvalError, Value};
-use rtr_core::module::{ItemSummary, ModuleItem};
+use rtr_core::module::{check_order, ItemSummary, ModuleItem};
 use rtr_core::syntax::{Expr, Lambda, Symbol, Ty, TyResult};
 
 use crate::elab::{err, ElabError, Elaborator};
@@ -128,7 +128,7 @@ pub struct ElaboratedModule {
 impl ElaboratedModule {
     /// The classic nested core encoding: every definition wraps the
     /// trailing expressions as `letrec`/`let`, exactly as the paper's
-    /// driver built it. Used by the evaluator and the fail-fast shim.
+    /// driver built it. Used by the evaluator.
     /// Clones the items; callers done with the module use
     /// [`ElaboratedModule::into_program`] instead.
     pub fn program(&self) -> Expr {
@@ -437,21 +437,26 @@ pub fn elaborate_module(src: &str) -> Result<Expr, LangError> {
 
 /// Parses, elaborates and type checks a module; returns its type-result.
 ///
-/// **Deprecated shim**: fail-fast — only the *first* error surfaces, as
-/// a [`LangError`]. New code should use [`check_module_source`] (or the
-/// facade's `Session`), which reports every diagnostic with spans.
+/// A fail-fast view of the recovering module check
+/// ([`Checker::check_module`], the one [`check_module_source`] runs):
+/// the first syntax error wins, then the first error-severity
+/// diagnostic of the check (spans resolved). Use
+/// [`check_module_source`] (or the facade's `Session`) to see every
+/// diagnostic.
 #[allow(clippy::result_large_err)] // cold entry points; Diagnostic stays unboxed in the public shape
 pub fn check_source(src: &str, checker: &Checker) -> Result<TyResult, LangError> {
     let m = elaborate_module_items(src)?;
     if let Some(e) = m.syntax_errors.first() {
         return Err(LangError::Syntax(e.clone()));
     }
-    let spans = m.spans;
-    let program = nest_program(m.items);
-    checker.check_program_owned(program).map_err(|mut d| {
-        d.resolve_spans(&spans);
-        LangError::Type(d)
-    })
+    let mc = checker.check_module(&m.items);
+    match mc.diagnostics.into_iter().find(Diagnostic::is_error) {
+        Some(mut d) => {
+            d.resolve_spans(&m.spans);
+            Err(LangError::Type(d))
+        }
+        None => Ok(mc.value.expect("a clean module has a value")),
+    }
 }
 
 /// Everything learned from checking one module's source: located
@@ -520,23 +525,11 @@ pub fn check_module_source(src: &str, checker: &Checker) -> ModuleReport {
 /// *current* parse. Summaries arrive from the core checker span-less
 /// (and, on the incremental path, spliced summaries carry whatever the
 /// previous run recorded), so positions are always re-derived here,
-/// after the check. Results are ordered definitions first then trailing
-/// expressions; `items` is in source order, so the zip re-applies the
-/// same partition.
+/// after the check. Results are in check order; `items` is in source
+/// order, so the zip re-applies the same partition.
 fn stamp_item_spans(results: &mut [ItemSummary], items: &[ModuleItem], spans: &SpanTable) {
-    let node_of = |item: &ModuleItem| match item {
-        ModuleItem::DefineRec { node, .. }
-        | ModuleItem::Define { node, .. }
-        | ModuleItem::Expr { node, .. } => *node,
-        ModuleItem::Opaque { .. } => None,
-    };
-    let is_expr = |item: &&ModuleItem| matches!(item, ModuleItem::Expr { .. });
-    let ordered = items
-        .iter()
-        .filter(|i| !is_expr(i))
-        .chain(items.iter().filter(is_expr));
-    for (summary, item) in results.iter_mut().zip(ordered) {
-        summary.span = node_of(item).map(|n| spans.get(n));
+    for (summary, item) in results.iter_mut().zip(check_order(items)) {
+        summary.span = item.node().map(|n| spans.get(n));
     }
 }
 
@@ -657,21 +650,6 @@ mod tests {
     }
 
     #[test]
-    fn recovery_agrees_with_the_fail_fast_shim() {
-        for src in [
-            "(define (f [x : Int]) (add1 x)) (f 1)",
-            "(define (f [x : Int]) (add1 x)) (f #t)",
-            "(define n 10) (define m : Int (+ n 1)) (+ n m)",
-            "(: f : [x : Int] -> Int) (define (f x) #t)",
-            "(+ 1 2) (+ 3 #t) (+ 4 5)",
-        ] {
-            let strict = check_source(src, &checker()).is_ok();
-            let report = check_module_source(src, &checker());
-            assert_eq!(strict, report.is_clean(), "disagreement on {src}");
-        }
-    }
-
-    #[test]
     fn syntax_recovery_skips_the_form_and_poisons_the_name() {
         let src = "\
 (: f : [x : Int] -> Int)
@@ -713,7 +691,9 @@ mod tests {
         let report = check_module_source(src, &checker());
         assert!(report.is_clean());
         let value = report.value.expect("value");
-        let strict = check_source(src, &checker()).expect("checks");
+        // The nested encoding lifts at every binder exit (T-Let).
+        let nested = elaborate_module(src).expect("elaborates");
+        let strict = checker().check_program(&nested).expect("checks");
         // The existentialized binder is freshened per elaboration run
         // (`b%24` vs `b%25`), so compare modulo the fresh suffix.
         fn normalize(r: &TyResult) -> String {
@@ -734,7 +714,7 @@ mod tests {
         assert_eq!(
             normalize(&value),
             normalize(&strict),
-            "session value must match the shim's up to fresh renaming"
+            "module value must match the nested encoding's up to fresh renaming"
         );
 
         // And a free-variable scan agrees: nothing module-local leaks.

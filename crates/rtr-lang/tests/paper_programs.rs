@@ -1,9 +1,12 @@
 //! The paper's programs, written in the surface syntax and pushed through
 //! the full pipeline: read → expand → elaborate → check → run.
 
+mod common;
+
 use rtr_core::check::Checker;
 use rtr_core::config::CheckerConfig;
 use rtr_core::interp::Value;
+use rtr_core::syntax::TyResult;
 use rtr_lang::{check_source, run_source, run_source_unchecked, LangError};
 
 fn rtr() -> Checker {
@@ -14,6 +17,13 @@ fn tr() -> Checker {
     Checker::with_config(CheckerConfig::lambda_tr())
 }
 
+/// [`check_source`], cross-checked against the nested-encoding oracle.
+#[allow(clippy::result_large_err)] // mirrors `check_source`'s signature
+fn check(src: &str, checker: &Checker) -> Result<TyResult, LangError> {
+    common::assert_agrees_with_nested_encoding(src, checker);
+    check_source(src, checker)
+}
+
 /// Fig. 1, verbatim modulo ASCII operators.
 #[test]
 fn fig1_max() {
@@ -22,11 +32,8 @@ fn fig1_max() {
         (define (max x y) (if (> x y) x y))
         (max 3 7)
     "#;
-    assert!(check_source(src, &rtr()).is_ok());
-    assert!(
-        check_source(src, &tr()).is_err(),
-        "λTR cannot prove the range"
-    );
+    assert!(check(src, &rtr()).is_ok());
+    assert!(check(src, &tr()).is_err(), "λTR cannot prove the range");
     assert!(matches!(run_source(src, &rtr(), 10_000), Ok(Value::Int(7))));
 }
 
@@ -41,9 +48,9 @@ fn section2_least_significant_bit() {
               (fst n)))
         (+ (least-significant-bit 7) (least-significant-bit (cons 1 0)))
     "#;
-    assert!(check_source(src, &rtr()).is_ok());
+    assert!(check(src, &rtr()).is_ok());
     assert!(
-        check_source(src, &tr()).is_ok(),
+        check(src, &tr()).is_ok(),
         "pure occurrence typing suffices here"
     );
     assert!(matches!(run_source(src, &rtr(), 10_000), Ok(Value::Int(2))));
@@ -63,13 +70,13 @@ fn section21_guarded_vec_ref() {
               (error "invalid vector index!")))
         (my-vec-ref (vec 10 20 30) 2)
     "#;
-    assert!(check_source(src, &rtr()).is_ok());
+    assert!(check(src, &rtr()).is_ok());
     assert!(matches!(
         run_source(src, &rtr(), 10_000),
         Ok(Value::Int(30))
     ));
     // The λTR baseline rejects the unsafe call even though it is guarded.
-    assert!(check_source(src, &tr()).is_err());
+    assert!(check(src, &tr()).is_err());
 }
 
 /// §2.1's safe-dot-prod: *rejected* without knowledge that the lengths
@@ -82,7 +89,7 @@ fn section21_safe_dot_prod_rejected() {
           (for/sum ([i (in-range (len A))])
             (* (safe-vec-ref A i) (safe-vec-ref B i))))
     "#;
-    match check_source(src, &rtr()) {
+    match check(src, &rtr()) {
         Err(LangError::Type(e)) => {
             let msg = e.to_string();
             assert!(msg.contains("argument 2"), "should flag the B index: {msg}");
@@ -105,10 +112,7 @@ fn section21_dot_prod_with_guard() {
               (* (safe-vec-ref A i) (safe-vec-ref B i)))))
         (dot-prod (vec 1 2 3) (vec 4 5 6))
     "#;
-    assert!(
-        check_source(src, &rtr()).is_ok(),
-        "guarded dot-prod must verify"
-    );
+    assert!(check(src, &rtr()).is_ok(), "guarded dot-prod must verify");
     assert!(matches!(
         run_source(src, &rtr(), 100_000),
         Ok(Value::Int(32))
@@ -133,7 +137,7 @@ fn section44_reverse_iteration_fails() {
             (safe-vec-ref A i)))
     "#;
     assert!(
-        check_source(src, &rtr()).is_err(),
+        check(src, &rtr()).is_err(),
         "the Nat heuristic must fail on reverse iteration (§4.4)"
     );
 }
@@ -151,7 +155,7 @@ fn section22_xtime() {
         (xtime #x57)
     "#;
     assert!(
-        check_source(src, &rtr()).is_ok(),
+        check(src, &rtr()).is_ok(),
         "xtime must verify with the BV theory"
     );
     // 0x57·x = 0xae (no reduction: high bit of 0x57 is 0).
@@ -181,10 +185,7 @@ fn section51_annotated_loop() {
               [else (loop (- i 1) (* res (safe-vec-ref ds (- i 1))))])))
         (prod (vec 2 3 4))
     "#;
-    assert!(
-        check_source(src, &rtr()).is_ok(),
-        "annotated loop must verify"
-    );
+    assert!(check(src, &rtr()).is_ok(), "annotated loop must verify");
     assert!(matches!(
         run_source(src, &rtr(), 100_000),
         Ok(Value::Int(24))
@@ -210,10 +211,7 @@ fn section51_vec_swap() {
         (define v (vec 1 2 3))
         (begin (vec-swap! v 0 2) (vec-ref v 0))
     "#;
-    assert!(
-        check_source(src, &rtr()).is_ok(),
-        "guarded swap must verify"
-    );
+    assert!(check(src, &rtr()).is_ok(), "guarded swap must verify");
     assert!(matches!(
         run_source(src, &rtr(), 100_000),
         Ok(Value::Int(3))
@@ -236,7 +234,7 @@ fn section42_mutable_cache_exploit() {
         (f (vec 1 2 3))
     "#;
     assert!(
-        check_source(checked, &rtr()).is_err(),
+        check(checked, &rtr()).is_err(),
         "tests on a mutable variable must not verify accesses (§4.2)"
     );
 
@@ -270,7 +268,7 @@ fn section43_polymorphic_instantiation() {
           (if (< 1 (len v)) (safe-vec-ref v 1) #f))
         (second-of (vec #t #f #t))
     "#;
-    assert!(check_source(src, &rtr()).is_ok());
+    assert!(check(src, &rtr()).is_ok());
     assert!(matches!(
         run_source(src, &rtr(), 10_000),
         Ok(Value::Bool(false))
@@ -282,7 +280,7 @@ fn section43_polymorphic_instantiation() {
 #[test]
 fn checked_access_is_a_user_error() {
     let src = "(vec-ref (vec 1 2) 5)";
-    assert!(check_source(src, &rtr()).is_ok());
+    assert!(check(src, &rtr()).is_ok());
     match run_source(src, &rtr(), 1_000) {
         Err(LangError::Eval(rtr_core::interp::EvalError::UserError(_))) => {}
         other => panic!("expected a checked bounds error, got {other:?}"),

@@ -280,3 +280,79 @@ fn one_item_edit_reuses_the_unchanged_items() {
         warm.stats.unchanged_items
     );
 }
+
+/// A clean module whose one definition nests past the 160-level inline
+/// stack limit must check on the big-stack worker through every module
+/// path, and every path must agree on its items and value.
+#[test]
+fn a_deep_item_checks_clean_on_both_loops() {
+    // The reader and elaborator recurse on the caller's stack, which a
+    // 200-level form overflows on a default test thread in debug builds.
+    std::thread::Builder::new()
+        .stack_size(64 * 1024 * 1024)
+        .spawn(deep_item_paths_agree)
+        .expect("spawn")
+        .join()
+        .expect("deep item check");
+}
+
+fn deep_item_paths_agree() {
+    const DEPTH: usize = 200;
+    let mut body = String::new();
+    for i in 0..DEPTH {
+        let rhs = if i == 0 {
+            "x".to_owned()
+        } else {
+            format!("a{}", i - 1)
+        };
+        body.push_str(&format!("(let ([a{i} {rhs}]) "));
+    }
+    body.push_str(&format!("a{}", DEPTH - 1));
+    body.push_str(&")".repeat(DEPTH));
+    let src = format!("(: deep : [x : Int] -> Int)\n(define (deep x)\n  {body})\n(deep 1)\n");
+
+    let key = |results: &[rtr::core::module::ItemSummary], value: &Option<TyResult>| {
+        let mut out = String::new();
+        for i in results {
+            out.push_str(&format!(
+                "{:?} : {:?} poisoned={}\n",
+                i.name.map(|n| n.as_str().to_owned()),
+                i.ty.as_ref().map(|t| normalize(&t.to_string())),
+                i.poisoned
+            ));
+        }
+        out + &format!(
+            "value {:?}",
+            value.as_ref().map(|v| normalize(&v.ty.to_string()))
+        )
+    };
+
+    let items = rtr::lang::elaborate_module_items(&src)
+        .expect("reads")
+        .items;
+    let core = Checker::default().check_module(&items);
+    assert!(core.is_clean(), "{:#?}", core.diagnostics);
+    let expected = key(&core.results, &core.value);
+    assert!(expected.contains("\"deep\""), "{expected}");
+
+    let file = SourceFile::new("deep.rtr", &src);
+    let incremental = Session::new(SessionConfig::default());
+    let scratch = Session::new(SessionConfig {
+        incremental: false,
+        ..SessionConfig::default()
+    });
+    for (path, report) in [
+        ("incremental, cold", incremental.check(&file)),
+        ("incremental, warm", incremental.check(&file)),
+        ("from scratch", scratch.check(&file)),
+    ] {
+        assert!(report.is_clean(), "{path}: {:#?}", report.diagnostics);
+        assert_eq!(key(&report.results, &report.value), expected, "{path}");
+    }
+
+    let value = check_source(&src, &Checker::default()).expect("deep module checks");
+    assert_eq!(
+        normalize(&value.ty.to_string()),
+        normalize(&core.value.expect("value").ty.to_string())
+    );
+}
