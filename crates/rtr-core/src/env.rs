@@ -44,7 +44,7 @@ use std::sync::Arc;
 
 use crate::intern::{ObjId, PropId, TyId};
 use crate::pmap::PMap;
-use crate::syntax::{BvAtomProp, LinAtom, Obj, Path, StrAtomProp, Symbol, Ty};
+use crate::syntax::{BvAtomProp, LinAtom, Obj, Path, Prop, StrAtomProp, Symbol, Ty};
 
 /// Hands out globally unique environment generations. Generation 0 is
 /// reserved for empty environments (all of which are identical).
@@ -194,37 +194,131 @@ impl Env {
         self.generation = next_generation();
     }
 
-    /// Do two environments hold exactly the same facts?
+    /// The names whose bindings differ between two environments that
+    /// agree on every other fact.
     ///
-    /// Compares the *semantic* fields only — the stored types, aliases,
-    /// negative facts, theory literals, disjunctions, pending atoms,
-    /// mutability set and absurdity flag. The `generation`/`lin_epoch`
-    /// identity stamps are deliberately ignored: they key memo tables,
-    /// so two value-equal environments with different stamps behave
-    /// identically in every judgment (at worst a cache miss recomputes
-    /// the same verdict). The incremental module driver uses this as its
-    /// splice guard: a cached item verdict may be replayed exactly when
-    /// the environment it would be re-checked in holds the same facts as
-    /// the one it was recorded under.
+    /// Returns `None` when anything besides the `types` and `aliases`
+    /// entries differs: the absurdity flag, negative facts,
+    /// disjunctions, theory literals, pending atoms or the mutability
+    /// set. Otherwise returns every name whose type or alias entry
+    /// differs, bound on one side only included, sorted and
+    /// deduplicated; empty means the two hold exactly the same facts.
     ///
-    /// Every `Arc`-shared field gets a pointer-equality fast path, so
-    /// comparing an environment against the snapshot it was cloned from
-    /// is `O(fields)`.
-    pub fn same_contents(&self, other: &Env) -> bool {
+    /// Only the *semantic* fields are compared. The `generation` and
+    /// `lin_epoch` identity stamps key memo tables, so two value-equal
+    /// environments with different stamps behave identically in every
+    /// judgment (at worst a cache miss recomputes the same verdict).
+    /// Equal generations are an `O(1)` empty answer, every `Arc`-shared
+    /// field has a pointer-equality fast path, and the maps are diffed
+    /// with [`PMap::diff_keys`], which skips the subtrees they share —
+    /// comparing an environment against a snapshot it was derived from
+    /// costs time in the bindings written since.
+    ///
+    /// The incremental module driver's splice guard is built on this
+    /// (see [`crate::incremental`]).
+    pub fn binding_diff(&self, other: &Env) -> Option<Vec<Symbol>> {
         fn arc_eq<T: PartialEq + ?Sized>(a: &Arc<T>, b: &Arc<T>) -> bool {
             Arc::ptr_eq(a, b) || **a == **b
         }
-        (self.generation == other.generation)
-            || (self.absurd == other.absurd
-                && self.types.same_entries(&other.types)
-                && self.aliases.same_entries(&other.aliases)
-                && arc_eq(&self.negs, &other.negs)
-                && arc_eq(&self.disjs, &other.disjs)
-                && arc_eq(&self.lin_facts, &other.lin_facts)
-                && arc_eq(&self.bv_facts, &other.bv_facts)
-                && arc_eq(&self.str_facts, &other.str_facts)
-                && arc_eq(&self.pending, &other.pending)
-                && arc_eq(&self.mutables, &other.mutables))
+        if self.generation == other.generation {
+            return Some(Vec::new());
+        }
+        let rest_equal = self.absurd == other.absurd
+            && arc_eq(&self.negs, &other.negs)
+            && arc_eq(&self.disjs, &other.disjs)
+            && arc_eq(&self.lin_facts, &other.lin_facts)
+            && arc_eq(&self.bv_facts, &other.bv_facts)
+            && arc_eq(&self.str_facts, &other.str_facts)
+            && arc_eq(&self.pending, &other.pending)
+            && arc_eq(&self.mutables, &other.mutables);
+        if !rest_equal {
+            return None;
+        }
+        let mut names = self.types.diff_keys(&other.types);
+        names.extend(self.aliases.diff_keys(&other.aliases));
+        names.sort_unstable();
+        names.dedup();
+        Some(names)
+    }
+
+    /// This environment with the type and alias entries of `names`
+    /// replaced by `from`'s (removed where `from` has none), under a
+    /// fresh generation. Every other fact is this environment's.
+    pub fn rebased(&self, from: &Env, names: &[Symbol]) -> Env {
+        let mut env = self.clone();
+        env.touch();
+        for &x in names {
+            match from.types.get(x) {
+                Some(&t) => env.types.insert(x, t),
+                None => env.types.remove(x),
+            };
+            match from.aliases.get(x) {
+                Some(&o) => env.aliases.insert(x, o),
+                None => env.aliases.remove(x),
+            };
+        }
+        env
+    }
+
+    /// Can reading the bindings of `roots` lead to a binding of one of
+    /// `targets` (sorted)? Follows every visited name's recorded type
+    /// ([`TyId::free_obj_vars`], a conservative over-approximation) and
+    /// alias object, so the answer is `false` only if no chain of type
+    /// and alias reads from a root mentions a target.
+    pub fn reaches(&self, roots: impl IntoIterator<Item = Symbol>, targets: &[Symbol]) -> bool {
+        let mut seen: HashSet<Symbol> = HashSet::new();
+        let mut stack: Vec<Symbol> = roots.into_iter().collect();
+        while let Some(x) = stack.pop() {
+            if !seen.insert(x) {
+                continue;
+            }
+            if targets.binary_search(&x).is_ok() {
+                return true;
+            }
+            if let Some(t) = self.types.get(x) {
+                stack.extend(t.free_obj_vars().iter().copied());
+            }
+            if let Some(o) = self.aliases.get(x) {
+                let mut vars = HashSet::new();
+                o.get().free_vars(&mut vars);
+                stack.extend(vars);
+            }
+        }
+        false
+    }
+
+    /// Pushes every name the environment-wide facts mention: the bases
+    /// and negated types of the negative facts, the disjunctions, the
+    /// theory literals and the pending atoms. The consistency check and
+    /// case splitting read these facts whatever expression is being
+    /// checked, so the names they mention are read by every judgment.
+    pub fn fact_names(&self, out: &mut Vec<Symbol>) {
+        let mut vars: HashSet<Symbol> = HashSet::new();
+        for (p, ts) in self.negs.iter() {
+            vars.insert(p.base);
+            for t in ts {
+                vars.extend(t.free_obj_vars().iter().copied());
+            }
+        }
+        for &(p, q) in self.disjs.iter() {
+            for id in [p, q] {
+                prop_names(&id.get(), &mut vars);
+            }
+        }
+        for a in self.lin_facts.iter() {
+            prop_names(&Prop::Lin(a.clone()), &mut vars);
+        }
+        for a in self.bv_facts.iter() {
+            prop_names(&Prop::Bv(a.clone()), &mut vars);
+        }
+        for a in self.str_facts.iter() {
+            prop_names(&Prop::Str(a.clone()), &mut vars);
+        }
+        for (p, t, _) in self.pending.iter() {
+            vars.insert(p.base);
+            vars.extend(t.free_obj_vars().iter().copied());
+        }
+        out.extend(vars);
     }
 
     /// Marks `x` as mutable (no symbolic object, §4.2).
@@ -556,6 +650,22 @@ impl Env {
     }
 }
 
+/// The names a proposition mentions, including those inside the types
+/// of its membership atoms (which [`Prop::free_vars`] leaves out).
+fn prop_names(p: &Prop, out: &mut HashSet<Symbol>) {
+    match p {
+        Prop::Is(o, t) | Prop::IsNot(o, t) => {
+            o.free_vars(out);
+            out.extend(TyId::of(t).free_obj_vars().iter().copied());
+        }
+        Prop::And(a, b) | Prop::Or(a, b) => {
+            prop_names(a, out);
+            prop_names(b, out);
+        }
+        p => p.free_vars(out),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -623,7 +733,7 @@ mod tests {
     }
 
     #[test]
-    fn same_contents_ignores_identity_stamps() {
+    fn binding_diff_ignores_identity_stamps() {
         let mut a = Env::new();
         a.set_ty(s("sc_x"), Ty::Int);
         a.mark_mutable(s("sc_m"));
@@ -633,14 +743,66 @@ mod tests {
         // Different generations (each mutation stamps a fresh one), same
         // facts.
         assert_ne!(a.generation(), b.generation());
-        assert!(a.same_contents(&b));
-        assert!(a.same_contents(&a.clone()), "snapshot fast path");
+        assert_eq!(a.binding_diff(&b), Some(vec![]));
+        assert_eq!(
+            a.binding_diff(&a.clone()),
+            Some(vec![]),
+            "snapshot fast path"
+        );
         b.set_ty(s("sc_x"), Ty::bool_ty());
-        assert!(!a.same_contents(&b));
+        assert_eq!(a.binding_diff(&b), Some(vec![s("sc_x")]));
         b.set_ty(s("sc_x"), Ty::Int);
-        assert!(a.same_contents(&b));
+        b.add_alias(s("sc_y"), Obj::var(s("sc_x")));
+        assert_eq!(a.binding_diff(&b), Some(vec![s("sc_y")]), "one-sided alias");
         b.mark_absurd();
-        assert!(!a.same_contents(&b));
+        assert_eq!(
+            a.binding_diff(&b),
+            None,
+            "a differing flag is not a binding"
+        );
+    }
+
+    #[test]
+    fn rebased_copies_exactly_the_named_bindings() {
+        let (x, y, z) = (s("rb_x"), s("rb_y"), s("rb_z"));
+        let mut base = Env::new();
+        base.set_ty(x, Ty::Int);
+        base.set_ty(y, Ty::Int);
+        let mut from = base.clone();
+        from.set_ty(x, Ty::bool_ty());
+        from.add_alias(z, Obj::var(y));
+        from.set_ty(y, Ty::Str);
+        let got = base.rebased(&from, &[x, z]);
+        assert_eq!(got.raw_ty(x).as_deref(), Some(&Ty::bool_ty()));
+        assert_eq!(
+            got.raw_ty(y).as_deref(),
+            Some(&Ty::Int),
+            "unnamed binding kept"
+        );
+        assert_eq!(got.resolve(&Obj::var(z)), Obj::var(y));
+        assert_ne!(got.generation(), base.generation());
+        assert_eq!(got.binding_diff(&from), Some(vec![y]));
+        // Copying an absent binding removes it.
+        assert_eq!(from.rebased(&base, &[z]).binding_diff(&from), Some(vec![z]));
+    }
+
+    #[test]
+    fn reaches_follows_types_and_aliases() {
+        use crate::syntax::{LinCmp, Prop};
+        let (a, b, c, d, v) = (s("rc_a"), s("rc_b"), s("rc_c"), s("rc_d"), s("rc_v"));
+        let mut env = Env::new();
+        env.set_ty(d, Ty::Int);
+        // c : {v : Int | v ≤ d}, b ↦ c + 1, a unrelated.
+        env.set_ty(
+            c,
+            Ty::refine(v, Ty::Int, Prop::lin(Obj::var(v), LinCmp::Le, Obj::var(d))),
+        );
+        env.add_alias(b, Obj::var(c).add(&Obj::int(1)));
+        env.set_ty(a, Ty::Int);
+        assert!(env.reaches([b], &[d]), "through an alias, then a type");
+        assert!(env.reaches([d], &[d]), "a root is reached");
+        assert!(!env.reaches([a], &[d]));
+        assert!(!env.reaches([d], &[b]), "edges point from reader to read");
     }
 
     #[test]

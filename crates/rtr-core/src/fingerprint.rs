@@ -21,9 +21,8 @@
 //! The same traversal provides [`item_salt`] — the name-keyed salt for
 //! per-item budget/chaos forks, stable under inserting or reordering
 //! neighbouring definitions — and [`free_refs`], the item-level
-//! dependency edges the driver's cutoff accounting uses.
-
-use std::collections::HashSet;
+//! dependency edges the driver's splice guard and cutoff accounting
+//! use.
 
 use crate::module::ModuleItem;
 use crate::syntax::{
@@ -54,15 +53,19 @@ struct Fp {
     objs: Vec<Symbol>,
     /// Type-variable binders, innermost last.
     tvars: Vec<Symbol>,
+    /// When collecting: every free object-variable occurrence hashed,
+    /// in visit order.
+    free: Option<Vec<Symbol>>,
 }
 
 impl Fp {
-    fn new() -> Fp {
+    fn new(collect_free: bool) -> Fp {
         Fp {
             lo: 0x0123_4567_89AB_CDEF,
             hi: 0xFEDC_BA98_7654_3210,
             objs: Vec::new(),
             tvars: Vec::new(),
+            free: collect_free.then(Vec::new),
         }
     }
 
@@ -102,6 +105,9 @@ impl Fp {
             None => {
                 self.tag(0xB1);
                 self.word(str_hash(x.as_str()));
+                if let Some(free) = &mut self.free {
+                    free.push(x);
+                }
             }
         }
     }
@@ -505,7 +511,12 @@ impl Fp {
 /// elaborator-minted fresh binder names. Free references hash by name —
 /// the part of the key that ties a verdict to the definitions it reads.
 pub fn item_fingerprint(item: &ModuleItem) -> u128 {
-    let mut fp = Fp::new();
+    hash_item(item, false).finish()
+}
+
+/// Runs the fingerprint traversal over one item.
+fn hash_item(item: &ModuleItem, collect_free: bool) -> Fp {
+    let mut fp = Fp::new(collect_free);
     match item {
         ModuleItem::DefineRec { name, sig, lam, .. } => {
             fp.tag(0xD1);
@@ -535,7 +546,7 @@ pub fn item_fingerprint(item: &ModuleItem) -> u128 {
             fp.ty(ty);
         }
     }
-    fp.finish()
+    fp
 }
 
 /// The budget/chaos salt for an item's per-item checker fork. Keyed by
@@ -551,30 +562,19 @@ pub fn item_salt(item: &ModuleItem) -> u64 {
 }
 
 /// The free references of an item: every module-level name its check can
-/// read (term free variables plus names mentioned by the declared
-/// signature's dependent positions), minus the item's own recursive
-/// binding. Sorted for determinism. These are the edges of the
-/// item-level dependency graph the incremental driver's early-cutoff
-/// accounting walks.
+/// read — each name the fingerprint hashes as free, wherever it occurs:
+/// term variables, `set!` targets, and names in the signature, in
+/// annotations and in parameter types (dependent positions included) —
+/// minus the item's own recursive binding. Sorted for determinism. These
+/// are the edges of the item-level dependency graph: the incremental
+/// driver's splice guard starts its reachability walk from them.
 pub fn free_refs(item: &ModuleItem) -> Vec<Symbol> {
-    let mut set: HashSet<Symbol> = HashSet::new();
-    match item {
-        ModuleItem::DefineRec { name, sig, lam, .. } => {
-            Expr::Lam(lam.clone()).free_vars(&mut set);
-            sig.free_obj_vars(&mut set);
-            set.remove(name);
-        }
-        ModuleItem::Define { sig, rhs, .. } => {
-            rhs.free_vars(&mut set);
-            if let Some(t) = sig {
-                t.free_obj_vars(&mut set);
-            }
-        }
-        ModuleItem::Expr { expr, .. } => expr.free_vars(&mut set),
-        ModuleItem::Opaque { ty, .. } => ty.free_obj_vars(&mut set),
+    let mut out = hash_item(item, true).free.unwrap_or_default();
+    if let ModuleItem::DefineRec { name, .. } = item {
+        out.retain(|x| x != name);
     }
-    let mut out: Vec<Symbol> = set.into_iter().collect();
     out.sort_by_key(|s| s.as_str());
+    out.dedup();
     out
 }
 
@@ -694,5 +694,20 @@ mod tests {
         assert!(refs.contains(&s("fr_g")));
         assert!(!refs.contains(&s("fr_f")), "self-reference excluded");
         assert!(!refs.contains(&s("x")), "parameters are bound");
+
+        // Names inside annotations and parameter types are references
+        // too: checking the annotation reads their bindings.
+        let annotated = ModuleItem::Expr {
+            expr: Expr::Ann(
+                Box::new(Expr::Int(1)),
+                Ty::refine(
+                    s("v"),
+                    Ty::Int,
+                    Prop::lin(Obj::var(s("v")), LinCmp::Le, Obj::var(s("fr_n"))),
+                ),
+            ),
+            node: None,
+        };
+        assert_eq!(free_refs(&annotated), vec![s("fr_n")]);
     }
 }

@@ -12,29 +12,79 @@
 //!
 //! # Soundness argument
 //!
-//! A module item's verdict (its diagnostics, its recorded
-//! [`ItemSummary`], the environment it leaves behind, and its
-//! contribution to the module value) is a deterministic function of two
-//! inputs: the item's elaborated core term and the **value** of the
-//! environment it is checked under. The checker judgements consult
-//! nothing else — `generation`/`lin_epoch` stamps key memo tables and
-//! never change a verdict (see [`Env::same_contents`]). So the splice
-//! rule is:
+//! A module item's verdict — its diagnostics, its recorded
+//! [`ItemSummary`], the environment it leaves behind and its
+//! contribution to the module value — is a deterministic function of
+//! the item's elaborated core term and of what its judgments *read* of
+//! the environment Γ it is checked under. (`generation`/`lin_epoch`
+//! stamps key memo tables and never change a verdict; see
+//! [`Env::binding_diff`].) In λ_RTR (PLDI'16 §3–4) a judgment reads Γ
+//! in only two ways:
 //!
-//! > a cached record may replace re-checking item *i* iff the item's
-//! > term is unchanged (same fingerprint / same source text) **and**
-//! > the environment reaching slot *i* this run is value-equal to the
-//! > environment that reached it when the record was made.
+//! * **through the names it mentions**: looking up a variable reads its
+//!   type and alias entries, and the names those entries mention in
+//!   turn, because proving a refinement or resolving a representative
+//!   object follows them;
+//! * **through Γ's consistency**: every `env_inconsistent` query scans
+//!   every binding for an empty type, every negative fact (reading the
+//!   type of its base), and the theory literals, disjunctions and
+//!   pending atoms.
+//!
+//! Let E be the environment reaching an item this run and E₀ the one
+//! its record was made under. A record made for the same term
+//! (fingerprint or source text) and trailing role may replace
+//! re-checking iff:
+//!
+//! 1. **Everything but the bindings agrees.** The absurdity flag,
+//!    negative facts, disjunctions, lin/bv/str literals, pending atoms
+//!    and mutability marks of E equal E₀'s. These are read wholesale by
+//!    the consistency check, so any difference is observable.
+//! 2. **D is what differs.** D is the set of names whose `types` or
+//!    `aliases` entry differs ([`Env::binding_diff`], a structural diff
+//!    that skips the subtrees the two maps share). D = ∅ is the plain
+//!    "value-equal environment" rule.
+//! 3. **Each d ∈ D is invisible to the scans.** d is bound on both
+//!    sides (so no `is_bound` test — shadowing, the `let x = y` fast
+//!    path — can tell the two apart), and its type is non-empty on both
+//!    sides (so the emptiness scan answers alike). No fact,
+//!    disjunction or pending atom mentions d: their names are roots of
+//!    the walk in clause 4.
+//! 4. **No d ∈ D is reachable from what the item reads.** Starting from
+//!    the item's `free_refs`, its record's binder (name, type and
+//!    object), and every name the environment-wide facts mention
+//!    ([`Env::fact_names`]), following types and alias objects in E
+//!    ([`Env::reaches`]) never meets D. The walk stops at D, so it
+//!    visits only entries E and E₀ share, and finds the same closure
+//!    under both.
+//!
+//! Under these clauses every read the item's judgments make returns the
+//! same answer under E and under E₀, so the run under E performs the
+//! same steps, reaches the same verdict and performs the same writes as
+//! the recorded run. None of those writes touches a d ∈ D: the item
+//! writes its binder (unbound on entry — a record whose binder name is
+//! already bound re-checks, since re-binding rewrites every entry that
+//! mentions it), the fresh names it opens and the reachable names it
+//! learns about. So the environment after the item is exactly
+//! [`Env::rebased`]: the record's `env_after` with D's entries copied
+//! from E. D carries forward — the next item's E and E₀ differ in
+//! exactly D again, unless a re-check in between changed more or put
+//! the old values back.
 //!
 //! Early cutoff falls out of the same rule, stronger than the usual
-//! "exported type id unchanged" check: after re-checking a dirty item,
-//! if the environment it leaves behind is value-equal to the cached
-//! one, *every* downstream comparison succeeds (each splice restores
-//! the cached `env_after`, so consecutive splices compare
-//! generation-equal environments in O(1)) and the item's dependents are
-//! never re-checked. If the re-check changed the exported binding, the
-//! environment comparison fails exactly for the suffix that can
-//! observe it.
+//! "exported type id unchanged" check. After re-checking a dirty item,
+//! if the environment it leaves behind is value-equal to the cached one
+//! then D = ∅ for every later item (each splice restores the cached
+//! `env_after`, so consecutive splices compare generation-equal
+//! environments in O(1)) and nothing else re-checks. If the re-check
+//! changed the exported binding — a signature edit — D names it, and
+//! only the items that can read it re-check: the callers, aliases and
+//! dependents whose own entries point at it, never the unrelated rest
+//! of the module.
+//!
+//! A splice under D ≠ ∅ records a new [`ItemRecord`] with the rebased
+//! `env_after` (sharing the reusable results), so every cache keeps the
+//! invariant the rule relies on: record *i* was made under record
+//! *i − 1*'s `env_after`.
 //!
 //! # What is never cached
 //!
@@ -55,6 +105,7 @@ use std::sync::Arc;
 use crate::check::Checker;
 use crate::env::Env;
 use crate::fingerprint::{free_refs, item_fingerprint};
+use crate::intern::TyId;
 use crate::module::{ItemStep, ItemSummary, ModuleCheck, ModuleItem, ModuleRun};
 use crate::mutation::mutated_vars;
 use crate::syntax::{Obj, Symbol, Ty, TyResult};
@@ -81,8 +132,8 @@ pub struct ItemRecord {
     /// ([`crate::fingerprint::item_fingerprint`]).
     fp: u128,
     /// Module-level names the item can read
-    /// ([`crate::fingerprint::free_refs`]) — the dependency edges used
-    /// by the cutoff accounting.
+    /// ([`crate::fingerprint::free_refs`]) — roots of the splice guard's
+    /// reachability walk, and the edges of the cutoff accounting.
     free_refs: Vec<Symbol>,
     /// The `set!`-mutated variables of this item's body (the module
     /// mutation pre-pass is the union of these).
@@ -91,8 +142,9 @@ pub struct ItemRecord {
     /// checked cleanly or was poisoned.
     env_after: Env,
     /// Reusable results; `None` for items that produced diagnostics or
-    /// tripped their budget fork (never cached).
-    reuse: Option<ReuseData>,
+    /// tripped their budget fork (never cached). Shared by the records
+    /// later runs derive from this one.
+    reuse: Option<Arc<ReuseData>>,
 }
 
 impl ItemRecord {
@@ -378,30 +430,31 @@ impl Checker {
             }
 
             // The splice rule: reusable record, same trailing role, and
-            // a value-equal incoming environment.
-            let splice = usable && {
-                let rec = candidate.as_ref().unwrap();
-                let role_ok =
-                    !rec.is_expr() || (rec.reuse.as_ref().unwrap().value.is_some() == is_last_slot);
-                role_ok && {
-                    let c = old.unwrap();
-                    let prev = if cand_idx == 0 {
-                        &c.init_env
-                    } else {
-                        &c.records[cand_idx - 1].env_after
-                    };
-                    run.env.same_contents(prev)
+            // an incoming environment that differs from the one the
+            // record was made under only in bindings the item cannot
+            // read (`changed`).
+            let changed = candidate.as_ref().and_then(|rec| {
+                let ru = rec.reuse.as_ref()?;
+                let role_ok = !rec.is_expr() || (ru.value.is_some() == is_last_slot);
+                if !role_ok {
+                    return None;
                 }
-            };
+                let c = old?;
+                let prev = if cand_idx == 0 {
+                    &c.init_env
+                } else {
+                    &c.records[cand_idx - 1].env_after
+                };
+                this.splice_guard(rec, ru, &run.env, prev)
+            });
 
-            if splice {
+            if let Some(changed) = changed {
                 let rec = candidate.unwrap();
                 let ru = rec.reuse.as_ref().unwrap();
                 stats.skipped += 1;
                 if rec.free_refs.iter().any(|s| rechecked_names.contains(s)) {
                     stats.cutoff_stopped += 1;
                 }
-                run.env = rec.env_after.clone();
                 run.out.results.push(ru.summary.clone());
                 if let Some(b) = &ru.binder {
                     run.binders.push(b.clone());
@@ -409,7 +462,19 @@ impl Checker {
                 if let Some(v) = &ru.value {
                     run.out.value = Some(v.clone());
                 }
-                records.push(rec);
+                if changed.is_empty() {
+                    run.env = rec.env_after.clone();
+                    records.push(rec);
+                } else {
+                    // The changed bindings pass through the item
+                    // untouched; the record for this run is the old one
+                    // made under (and leaving) this run's environment.
+                    run.env = rec.env_after.rebased(&run.env, &changed);
+                    records.push(Arc::new(ItemRecord {
+                        env_after: run.env.clone(),
+                        ..(*rec).clone()
+                    }));
+                }
                 continue;
             }
 
@@ -438,10 +503,12 @@ impl Checker {
             // on an untripped fork: a diagnostic or a tripped budget
             // means the verdict may be degraded, and degraded verdicts
             // are never cached.
-            let reuse = clean.then(|| ReuseData {
-                summary: run.out.results[results_before].clone(),
-                binder: run.binders.get(binders_before).cloned(),
-                value,
+            let reuse = clean.then(|| {
+                Arc::new(ReuseData {
+                    summary: run.out.results[results_before].clone(),
+                    binder: run.binders.get(binders_before).cloned(),
+                    value,
+                })
             });
             records.push(Arc::new(ItemRecord {
                 fp: item_fingerprint(&item),
@@ -464,6 +531,52 @@ impl Checker {
         };
         Some((out, cache, stats))
     }
+
+    /// The splice guard for one cached record: `Some(changed)` when
+    /// `rec` may stand in for re-checking its item under `env`, where
+    /// `prev` is the environment the record was made under and
+    /// `changed` the names whose bindings differ between the two (empty
+    /// when they hold the same facts); `None` when the item must be
+    /// re-checked. The module docs give the rule and why it is sound.
+    fn splice_guard(
+        &self,
+        rec: &ItemRecord,
+        ru: &ReuseData,
+        env: &Env,
+        prev: &Env,
+    ) -> Option<Vec<Symbol>> {
+        let changed = env.binding_diff(prev)?;
+        if changed.is_empty() {
+            return Some(changed);
+        }
+        // Each changed name is bound on both sides at a non-empty type:
+        // the consistency check scans every binding for emptiness, and
+        // must give the same answer under both environments.
+        for &d in &changed {
+            for side in [env, prev] {
+                if !side.is_bound(d) || side.raw_ty_id(d).is_some_and(|t| self.is_empty_id(t)) {
+                    return None;
+                }
+            }
+        }
+        // What the item can read: its free references, its binder, and
+        // every name the environment-wide facts mention.
+        let mut roots = rec.free_refs.clone();
+        if let Some((name, ty, obj)) = &ru.binder {
+            // Binding a name that is already bound rewrites every
+            // binding that mentions it, the changed ones included.
+            if env.is_bound(*name) {
+                return None;
+            }
+            roots.push(*name);
+            roots.extend(TyId::of(ty).free_obj_vars().iter().copied());
+            let mut vars = HashSet::new();
+            obj.free_vars(&mut vars);
+            roots.extend(vars);
+        }
+        env.fact_names(&mut roots);
+        (!env.reaches(roots, &changed)).then_some(changed)
+    }
 }
 
 /// The `set!`-mutated variables of one item's body.
@@ -476,7 +589,7 @@ fn item_mutated(item: &ModuleItem) -> Vec<Symbol> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::syntax::{Expr, Lambda, Prim};
+    use crate::syntax::{Expr, Lambda, Prim, Prop};
 
     fn int_to_int(name: &str) -> (Symbol, Ty) {
         let x = Symbol::intern("x");
@@ -606,5 +719,207 @@ mod tests {
         assert!(r.is_clean());
         assert_eq!(s.rechecked, 2);
         assert_eq!(s.skipped, 0);
+    }
+
+    // --- the dependency-aware splice guard, one case per clause ---
+
+    fn opaque(name: &str, ty: Ty) -> ModuleItem {
+        ModuleItem::Opaque {
+            name: Symbol::intern(name),
+            ty,
+        }
+    }
+
+    fn trailing(expr: Expr) -> ModuleItem {
+        ModuleItem::Expr { expr, node: None }
+    }
+
+    fn call(f: &str) -> ModuleItem {
+        trailing(Expr::app(Expr::Var(Symbol::intern(f)), vec![Expr::Int(1)]))
+    }
+
+    fn var(x: &str) -> Obj {
+        Obj::var(Symbol::intern(x))
+    }
+
+    /// `(U Int True)`: inhabited, fact-free, and not `Int`.
+    fn int_or_true() -> Ty {
+        Ty::union_of(vec![Ty::Int, Ty::True])
+    }
+
+    /// Fresh existentials are numbered per run; strip the digits.
+    fn normalized(t: &impl std::fmt::Display) -> String {
+        let mut out = String::new();
+        let mut digits = false;
+        for c in t.to_string().chars() {
+            if digits && c.is_ascii_digit() {
+                continue;
+            }
+            digits = c == '%';
+            out.push(c);
+        }
+        out
+    }
+
+    fn assert_equivalent(incr: &ModuleCheck, full: &ModuleCheck) {
+        let codes = |m: &ModuleCheck| m.diagnostics.iter().map(|d| d.code).collect::<Vec<_>>();
+        assert_eq!(codes(incr), codes(full));
+        let items = |m: &ModuleCheck| {
+            m.results
+                .iter()
+                .map(|r| (r.name, r.ty.as_ref().map(normalized), r.poisoned))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(items(incr), items(full));
+        assert_eq!(
+            incr.value.as_ref().map(|v| normalized(&v.ty)),
+            full.value.as_ref().map(|v| normalized(&v.ty))
+        );
+    }
+
+    /// Checks `v1` cold, then `v2` warm against its cache (a slot whose
+    /// fingerprint is unchanged at the same position is `Reused`), and
+    /// asserts the warm report equals `check_module(v2)`.
+    fn edit(v1: &[ModuleItem], v2: &[ModuleItem]) -> RecheckStats {
+        let checker = Checker::default();
+        let (_, cache, _) = checker
+            .check_module_incremental(&all_fresh(v1), None, &mut no_fetch)
+            .expect("cold run");
+        let slots: Vec<IncrSlot> = v2
+            .iter()
+            .enumerate()
+            .map(|(i, item)| match v1.get(i) {
+                Some(old) if item_fingerprint(old) == item_fingerprint(item) => IncrSlot::Reused(i),
+                _ => IncrSlot::Fresh(item.clone()),
+            })
+            .collect();
+        let mut fetch = |i: usize| Some(v2[i].clone());
+        let (warm, _, stats) = checker
+            .check_module_incremental(&slots, Some(&cache), &mut fetch)
+            .expect("warm run");
+        assert_equivalent(&warm, &checker.check_module(v2));
+        stats
+    }
+
+    #[test]
+    fn an_unreachable_changed_binding_splices() {
+        let v1 = vec![opaque("ga_n", Ty::Int), good("ga_u"), call("ga_u")];
+        let mut v2 = v1.clone();
+        v2[0] = opaque("ga_n", int_or_true());
+        let s = edit(&v1, &v2);
+        assert_eq!((s.rechecked, s.skipped), (1, 2), "{s:?}");
+    }
+
+    #[test]
+    fn a_changed_binding_read_through_a_type_rechecks() {
+        // gb_g's range mentions gb_n, so reading gb_g reads gb_n.
+        let v = Symbol::intern("v");
+        let g_ty = Ty::fun(
+            vec![(Symbol::intern("x"), Ty::Int)],
+            TyResult::of_type(Ty::refine(
+                v,
+                Ty::Int,
+                Prop::lin(Obj::var(v), crate::syntax::LinCmp::Le, var("gb_n")),
+            )),
+        );
+        let v1 = vec![
+            opaque("gb_n", Ty::Int),
+            opaque("gb_g", g_ty),
+            good("gb_u"),
+            call("gb_u"),
+            trailing(Expr::Var(Symbol::intern("gb_g"))),
+        ];
+        let mut v2 = v1.clone();
+        v2[0] = opaque("gb_n", int_or_true());
+        let s = edit(&v1, &v2);
+        // gb_n, gb_g (its type mentions gb_n) and the reader of gb_g.
+        assert_eq!((s.rechecked, s.skipped), (3, 2), "{s:?}");
+    }
+
+    #[test]
+    fn a_changed_binding_read_through_an_alias_rechecks() {
+        // `(define gc_a gc_n)` records the alias gc_a ↦ gc_n; its own
+        // entry is the same under both types of gc_n.
+        let v1 = vec![
+            opaque("gc_n", Ty::Int),
+            ModuleItem::Define {
+                name: Symbol::intern("gc_a"),
+                sig: None,
+                rhs: Expr::Var(Symbol::intern("gc_n")),
+                node: None,
+                sig_node: None,
+            },
+            good("gc_u"),
+            call("gc_u"),
+            trailing(Expr::Var(Symbol::intern("gc_a"))),
+        ];
+        let mut v2 = v1.clone();
+        v2[0] = opaque("gc_n", int_or_true());
+        let s = edit(&v1, &v2);
+        assert_eq!((s.rechecked, s.skipped), (3, 2), "{s:?}");
+    }
+
+    #[test]
+    fn a_changed_binding_empty_on_either_side_rechecks() {
+        // A `set!`-mutated variable is bound at its declared type
+        // without an emptiness check, so an empty type reaches the
+        // environment without marking it absurd — and makes every later
+        // judgment vacuous through the consistency check.
+        let setter = define(
+            "gd_set",
+            Expr::Begin(vec![
+                Expr::Set(
+                    Symbol::intern("gd_n"),
+                    Box::new(Expr::Var(Symbol::intern("x"))),
+                ),
+                Expr::Var(Symbol::intern("x")),
+            ]),
+        );
+        let v1 = vec![opaque("gd_n", Ty::Int), setter, good("gd_u"), call("gd_u")];
+        let mut v2 = v1.clone();
+        v2[0] = opaque("gd_n", Ty::union_of(vec![]));
+        // Empty on the incoming side, then on the recorded side.
+        assert_eq!(edit(&v1, &v2).skipped, 0);
+        assert_eq!(edit(&v2, &v1).skipped, 0);
+    }
+
+    #[test]
+    fn a_changed_binding_mentioned_by_a_module_level_fact_rechecks() {
+        let v = Symbol::intern("v");
+        // ge_p : {v : Int | v < ge_n} leaves the lin fact ge_p < ge_n.
+        let lin = opaque(
+            "ge_p",
+            Ty::refine(
+                v,
+                Ty::Int,
+                Prop::lin(Obj::var(v), crate::syntax::LinCmp::Lt, var("ge_n")),
+            ),
+        );
+        let v1 = vec![opaque("ge_n", Ty::Int), lin, good("ge_u"), call("ge_u")];
+        let mut v2 = v1.clone();
+        v2[0] = opaque("ge_n", int_or_true());
+        assert_eq!(edit(&v1, &v2).skipped, 0, "lin fact");
+
+        // gf_n : {v : τ | v ∉ False} leaves the negative fact
+        // gf_n ∉ False, for both choices of τ.
+        let refuted = |base: Ty| {
+            opaque(
+                "gf_n",
+                Ty::refine(v, base, Prop::is_not(Obj::var(v), Ty::False)),
+            )
+        };
+        let v1 = vec![refuted(Ty::Int), good("gf_u"), call("gf_u")];
+        let mut v2 = v1.clone();
+        v2[0] = refuted(int_or_true());
+        assert_eq!(edit(&v1, &v2).skipped, 0, "negative fact");
+    }
+
+    #[test]
+    fn a_binding_on_one_side_only_rechecks() {
+        let v1 = vec![opaque("gg_n", Ty::Int), good("gg_u"), call("gg_u")];
+        let mut v2 = v1.clone();
+        v2[0] = opaque("gg_m", Ty::Int);
+        let s = edit(&v1, &v2);
+        assert_eq!((s.rechecked, s.skipped), (3, 0), "{s:?}");
     }
 }

@@ -213,24 +213,85 @@ impl<V: Copy> PMap<V> {
 }
 
 impl<V: Copy + PartialEq> PMap<V> {
-    /// Structural equality: the same key set mapped to equal values.
+    /// The keys whose entries differ between the two maps: present in
+    /// only one of them, or mapped to unequal values. Each differing key
+    /// is reported once, in no particular order.
     ///
-    /// A shared root is an `O(1)` yes (snapshots that were never written
-    /// to compare in one pointer check — the incremental module driver's
-    /// common case). Otherwise the entry sequences are compared: because
-    /// the key hash is a bijection, iteration order is a function of the
-    /// key *set* alone, independent of insertion/removal history, so two
-    /// maps with equal contents always enumerate identically.
-    pub fn same_entries(&self, other: &PMap<V>) -> bool {
-        if self.len != other.len {
-            return false;
+    /// The walk descends both tries in lockstep and skips every subtree
+    /// the two share (`Arc::ptr_eq`) without visiting it, so diffing a
+    /// map against a snapshot it was derived from costs time in the
+    /// paths written since the snapshot, not in the size of the map.
+    /// Maps with no history in common still diff correctly, at the cost
+    /// of visiting both.
+    pub fn diff_keys(&self, other: &PMap<V>) -> Vec<Symbol> {
+        let mut out = Vec::new();
+        diff_rec(self.root.as_ref(), other.root.as_ref(), &mut out);
+        out
+    }
+}
+
+/// Pushes every key whose entry differs between the subtries `a` and
+/// `b`, which sit at the same trie position.
+fn diff_rec<V: Copy + PartialEq>(
+    a: Option<&Arc<Node<V>>>,
+    b: Option<&Arc<Node<V>>>,
+    out: &mut Vec<Symbol>,
+) {
+    let (a, b) = match (a, b) {
+        (None, None) => return,
+        (Some(n), None) | (None, Some(n)) => {
+            out.extend(subtrie(n).map(|(k, _)| k));
+            return;
         }
-        match (&self.root, &other.root) {
-            (None, None) => true,
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b) || self.iter().eq(other.iter()),
-            _ => false,
+        (Some(a), Some(b)) if Arc::ptr_eq(a, b) => return,
+        (Some(a), Some(b)) => (a, b),
+    };
+    match (&**a, &**b) {
+        (
+            Node::Branch {
+                bitmap: ba,
+                children: ca,
+            },
+            Node::Branch {
+                bitmap: bb,
+                children: cb,
+            },
+        ) => {
+            fn child<V>(bitmap: u32, children: &[Arc<Node<V>>], bit: u32) -> Option<&Arc<Node<V>>> {
+                (bitmap & bit != 0).then(|| &children[(bitmap & (bit - 1)).count_ones() as usize])
+            }
+            let mut bits = ba | bb;
+            while bits != 0 {
+                let bit = bits & bits.wrapping_neg();
+                bits &= bits - 1;
+                diff_rec(child(*ba, ca, bit), child(*bb, cb, bit), out);
+            }
+        }
+        // A leaf against anything: the only position where the two
+        // tries can disagree in shape, and small by construction.
+        (Node::Leaf(k, v), _) | (_, Node::Leaf(k, v)) => {
+            let rest = if matches!(&**a, Node::Leaf(..)) { b } else { a };
+            let mut found = false;
+            for (k2, v2) in subtrie(rest) {
+                if k2 != *k {
+                    out.push(k2);
+                } else {
+                    found = true;
+                    if v2 != v {
+                        out.push(k2);
+                    }
+                }
+            }
+            if !found {
+                out.push(*k);
+            }
         }
     }
+}
+
+/// Iterates over the entries below one node.
+fn subtrie<V: Copy>(node: &Node<V>) -> Iter<'_, V> {
+    Iter { stack: vec![node] }
 }
 
 /// Clones-on-write access to a node, counting shared-node copies.
@@ -437,13 +498,13 @@ mod tests {
     }
 
     #[test]
-    fn same_entries_is_history_independent() {
+    fn diff_keys_is_history_independent() {
         let mut a: PMap<u32> = PMap::new();
         for i in 0..64 {
             a.insert(s(i), i);
         }
         // Same final contents by a different history (extra inserts and
-        // removes leave a structurally different, equal trie).
+        // removes leave structurally distinct, equal tries).
         let mut b: PMap<u32> = PMap::new();
         for i in (0..64).rev() {
             b.insert(s(i), 0);
@@ -457,13 +518,14 @@ mod tests {
         for i in 0..64 {
             b.insert(s(i), i);
         }
-        assert!(a.same_entries(&b));
-        assert!(a.same_entries(&a.clone()), "shared-root fast path");
+        assert!(a.diff_keys(&b).is_empty());
+        assert!(a.diff_keys(&a.clone()).is_empty(), "shared-root fast path");
         b.insert(s(3), 999);
-        assert!(!a.same_entries(&b));
+        assert_eq!(a.diff_keys(&b), vec![s(3)]);
         b.insert(s(3), 3);
         b.remove(s(63));
-        assert!(!a.same_entries(&b), "missing key must be detected");
+        assert_eq!(b.diff_keys(&a), vec![s(63)], "missing key must be detected");
+        assert_eq!(a.diff_keys(&PMap::new()).len(), 64);
     }
 
     #[test]

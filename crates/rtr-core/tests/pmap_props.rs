@@ -1,10 +1,11 @@
 //! Property tests pinning the persistent HAMT ([`rtr_core::pmap::PMap`])
 //! to `HashMap` semantics: any sequence of inserts/removes must leave the
 //! two maps observationally identical (get, contains, len, iteration as a
-//! set), and writing to a map must never disturb a snapshot taken before
-//! the write.
+//! set), writing to a map must never disturb a snapshot taken before
+//! the write, and [`PMap::diff_keys`] between two snapshots of one map
+//! must be exactly the keys on which they differ.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use proptest::prelude::*;
 
@@ -125,5 +126,61 @@ proptest! {
         // An untouched snapshot taken at the same point still shows the
         // frozen state, no matter what the other two copies did.
         assert_same(&witness, &frozen);
+    }
+
+    /// `diff_keys` between two diverged snapshots of one map is the
+    /// `HashMap` symmetric difference — keys present on one side only,
+    /// plus keys mapped to different values — in both directions. The
+    /// remove-heavy tail empties whole branches so their collapse leaves
+    /// the two tries with different shapes at the same position.
+    #[test]
+    fn diff_keys_is_the_symmetric_difference(
+        before in arb_ops(),
+        left in arb_ops(),
+        right in arb_ops(),
+        drain in proptest::collection::vec(any::<u8>(), 0..24),
+    ) {
+        let apply = |map: &mut PMap<u32>, reference: &mut HashMap<Symbol, u32>, ops: &[Op]| {
+            for op in ops {
+                match op {
+                    Op::Insert(k, v) => {
+                        map.insert(key(*k), *v);
+                        reference.insert(key(*k), *v);
+                    }
+                    Op::Remove(k) => {
+                        map.remove(key(*k));
+                        reference.remove(&key(*k));
+                    }
+                }
+            }
+        };
+        let mut a: PMap<u32> = PMap::new();
+        let mut a_ref: HashMap<Symbol, u32> = HashMap::new();
+        apply(&mut a, &mut a_ref, &before);
+        let mut b = a.clone();
+        let mut b_ref = a_ref.clone();
+        apply(&mut a, &mut a_ref, &left);
+        apply(&mut b, &mut b_ref, &right);
+        let removes: Vec<Op> = drain.iter().map(|k| Op::Remove(*k)).collect();
+        apply(&mut b, &mut b_ref, &removes);
+
+        let mut expected: Vec<Symbol> = a_ref
+            .keys()
+            .chain(b_ref.keys())
+            .copied()
+            .collect::<HashSet<Symbol>>()
+            .into_iter()
+            .filter(|k| a_ref.get(k) != b_ref.get(k))
+            .collect();
+        expected.sort_unstable();
+        for (x, y) in [(&a, &b), (&b, &a)] {
+            let mut got = x.diff_keys(y);
+            got.sort_unstable();
+            let unique = got.len();
+            got.dedup();
+            prop_assert_eq!(unique, got.len(), "a key reported twice");
+            prop_assert_eq!(&got, &expected);
+        }
+        prop_assert!(a.diff_keys(&a.clone()).is_empty());
     }
 }

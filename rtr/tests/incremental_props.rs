@@ -12,7 +12,12 @@
 //! Edits cover every cache-relevant transition: body tweaks, flipping
 //! an item clean ↔ ill-typed ↔ unbound, insertion, deletion,
 //! reordering, dependency rewiring, and whitespace/comment-only
-//! touches that must splice everything.
+//! touches that must splice everything. The extended scripts add the
+//! edits that change a binding other items may or may not read — the
+//! case the splice guard's dependency check decides: signature toggles
+//! on called definitions, value-define chains, vector tables whose
+//! bounds checks leave negative and linear facts at module level, and
+//! value defines annotated with an uninhabited refinement.
 
 use rtr::prelude::*;
 
@@ -50,12 +55,30 @@ enum Item {
         name: usize,
         a: i64,
         body: Body,
+        /// The range is `[z : Int #:where (> z x)]` instead of `Int`.
+        refined: bool,
     },
     /// A trailing expression `(u<callee> <arg> 2)`.
-    Call {
-        callee: usize,
-        arg: i64,
+    Call { callee: usize, arg: i64 },
+    /// `(define n<name> <val>)`, or with a base
+    /// `(define n<name> : Int (+ n<base> <val>))`.
+    Num {
+        name: usize,
+        val: i64,
+        base: Option<usize>,
     },
+    /// `(define t<name> (vec 1 … <len>))` then the trailing
+    /// `(safe-vec-ref t<name> <idx>)`, the index a literal or, with
+    /// `by_num`, the value define `n<idx>`.
+    Table {
+        name: usize,
+        len: usize,
+        idx: usize,
+        by_num: bool,
+    },
+    /// `(define e<name> : (Refine [v : Int] ψ) 0)` with ψ uninhabited
+    /// (`empty`) or `(>= v 0)`.
+    Guarded { name: usize, empty: bool },
 }
 
 fn render(items: &[Item], rng: &mut Rng) -> String {
@@ -69,9 +92,21 @@ fn render(items: &[Item], rng: &mut Rng) -> String {
             _ => {}
         }
         match item {
-            Item::Define { name, a, body } => {
-                src.push_str(&format!("(: u{name} : [x : Int] [y : Int] -> Int)\n"));
+            Item::Define {
+                name,
+                a,
+                body,
+                refined,
+            } => {
+                let range = if *refined {
+                    "[z : Int #:where (> z x)]"
+                } else {
+                    "Int"
+                };
+                src.push_str(&format!("(: u{name} : [x : Int] [y : Int] -> {range})\n"));
                 let body = match body {
+                    // A refined range needs a body above `x`.
+                    Body::Clean if *refined => format!("(+ x {})", a.abs() + 1),
                     Body::Clean => format!("(+ (* {a} x) y)"),
                     Body::Calls(dep) => format!("(+ (u{dep} x y) {a})"),
                     Body::IllTyped => "(+ x #t)".to_owned(),
@@ -80,6 +115,35 @@ fn render(items: &[Item], rng: &mut Rng) -> String {
                 src.push_str(&format!("(define (u{name} x y) {body})\n"));
             }
             Item::Call { callee, arg } => src.push_str(&format!("(u{callee} {arg} 2)\n")),
+            Item::Num { name, val, base } => src.push_str(&match base {
+                None => format!("(define n{name} {val})\n"),
+                Some(b) => format!("(define n{name} : Int (+ n{b} {val}))\n"),
+            }),
+            Item::Table {
+                name,
+                len,
+                idx,
+                by_num,
+            } => {
+                let elems: Vec<String> = (1..=*len).map(|i| i.to_string()).collect();
+                let idx = if *by_num {
+                    format!("n{idx}")
+                } else {
+                    idx.to_string()
+                };
+                src.push_str(&format!(
+                    "(define t{name} (vec {}))\n(safe-vec-ref t{name} {idx})\n",
+                    elems.join(" ")
+                ));
+            }
+            Item::Guarded { name, empty } => {
+                let prop = if *empty {
+                    "(and (< v 0) (> v 0))"
+                } else {
+                    "(>= v 0)"
+                };
+                src.push_str(&format!("(define e{name} : (Refine [v : Int] {prop}) 0)\n"));
+            }
         }
     }
     src
@@ -136,14 +200,18 @@ fn report_key(r: &CheckReport, source: &str) -> String {
     out
 }
 
-fn mutate(items: &mut Vec<Item>, rng: &mut Rng, fresh_name: &mut usize) {
+/// One random edit. `extended` adds the binding-changing edit kinds
+/// (signature toggles, value-define chains, tables, uninhabited
+/// refinements); without it the script is the original generator's,
+/// draw for draw.
+fn mutate(items: &mut Vec<Item>, rng: &mut Rng, fresh_name: &mut usize, extended: bool) {
     let bodies = [
         Body::Clean,
         Body::Calls(rng.next(*fresh_name)),
         Body::IllTyped,
         Body::Unbound,
     ];
-    match rng.next(6) {
+    match rng.next(if extended { 11 } else { 6 }) {
         // Tweak a definition's coefficient (the classic one-line edit).
         0 => {
             let at = rng.next(items.len());
@@ -169,6 +237,7 @@ fn mutate(items: &mut Vec<Item>, rng: &mut Rng, fresh_name: &mut usize) {
                     name,
                     a: rng.next(9) as i64,
                     body: bodies[rng.next(bodies.len())],
+                    refined: false,
                 }
             } else {
                 Item::Call {
@@ -190,18 +259,97 @@ fn mutate(items: &mut Vec<Item>, rng: &mut Rng, fresh_name: &mut usize) {
             items.swap(i, j);
         }
         // Tweak a call site.
-        _ => {
+        5 => {
             let at = rng.next(items.len());
             if let Some(Item::Call { arg, .. }) = items.get_mut(at) {
                 *arg += 1;
             }
         }
+        // Toggle the range of a definition some item calls, between
+        // `Int` and `[z : Int #:where (> z x)]`.
+        6 | 7 => {
+            let called: Vec<usize> = items
+                .iter()
+                .filter_map(|item| match item {
+                    Item::Call { callee, .. }
+                    | Item::Define {
+                        body: Body::Calls(callee),
+                        ..
+                    } => Some(*callee),
+                    _ => None,
+                })
+                .collect();
+            if called.is_empty() {
+                return;
+            }
+            let target = called[rng.next(called.len())];
+            for item in items.iter_mut() {
+                if let Item::Define { name, refined, .. } = item {
+                    if *name == target {
+                        *refined = !*refined;
+                    }
+                }
+            }
+        }
+        // Insert a value define: a root, or one chained on an earlier
+        // (possibly deleted) value define.
+        8 => {
+            let name = *fresh_name;
+            *fresh_name += 1;
+            let base = (rng.next(2) == 0).then(|| rng.next(name));
+            let at = rng.next(items.len() + 1);
+            items.insert(
+                at,
+                Item::Num {
+                    name,
+                    val: rng.next(4) as i64,
+                    base,
+                },
+            );
+        }
+        // Insert a vector table and its bounds-checked access, or tweak
+        // a value define (which a table's index may read).
+        9 => {
+            let at = rng.next(items.len());
+            if let Some(Item::Num { val, .. }) = items.get_mut(at) {
+                *val = (*val + 1) % 4;
+                return;
+            }
+            let name = *fresh_name;
+            *fresh_name += 1;
+            let item = Item::Table {
+                name,
+                len: 2 + rng.next(3),
+                idx: rng.next(name),
+                by_num: rng.next(2) == 0,
+            };
+            items.insert(at, item);
+        }
+        // Insert a refinement-annotated value define, or flip one
+        // between uninhabited and inhabited.
+        _ => {
+            let at = rng.next(items.len());
+            if let Some(Item::Guarded { empty, .. }) = items.get_mut(at) {
+                *empty = !*empty;
+                return;
+            }
+            let name = *fresh_name;
+            *fresh_name += 1;
+            items.insert(
+                at,
+                Item::Guarded {
+                    name,
+                    empty: rng.next(2) == 0,
+                },
+            );
+        }
     }
 }
 
-#[test]
-fn random_edit_scripts_match_the_from_scratch_path() {
-    for seed in 1..=12u64 {
+/// Replays seeded edit scripts on one warm session and checks every
+/// step against a from-scratch check of the same text.
+fn replay_edit_scripts(seeds: std::ops::RangeInclusive<u64>, steps: usize, extended: bool) {
+    for seed in seeds {
         let warm = Session::new(SessionConfig::default());
         let scratch = Session::new(SessionConfig {
             incremental: false,
@@ -218,16 +366,17 @@ fn random_edit_scripts_match_the_from_scratch_path() {
                 } else {
                     Body::Calls(name - 1)
                 },
+                refined: false,
             })
             .collect();
         items.push(Item::Call { callee: 3, arg: 1 });
 
-        for step in 0..10 {
+        for step in 0..steps {
             // Step 0 checks the seed module cold; later steps mutate
             // (and sometimes only re-render trivia, exercising the
             // pure-splice path).
             if step > 0 && rng.next(8) != 0 {
-                mutate(&mut items, &mut rng, &mut fresh_name);
+                mutate(&mut items, &mut rng, &mut fresh_name, extended);
             }
             let src = render(&items, &mut rng);
             let file = SourceFile::new("props.rtr", &src);
@@ -247,6 +396,19 @@ fn random_edit_scripts_match_the_from_scratch_path() {
 }
 
 #[test]
+fn random_edit_scripts_match_the_from_scratch_path() {
+    replay_edit_scripts(1..=12, 10, false);
+}
+
+/// The extended scripts: edits that change bindings other items may
+/// read, so splices happen under environments that differ from the
+/// recorded ones.
+#[test]
+fn binding_changing_edit_scripts_match_the_from_scratch_path() {
+    replay_edit_scripts(1..=24, 16, true);
+}
+
+#[test]
 fn one_item_edit_reuses_the_unchanged_items() {
     let session = Session::new(SessionConfig::default());
     let mut rng = Rng(7);
@@ -255,6 +417,7 @@ fn one_item_edit_reuses_the_unchanged_items() {
             name,
             a: name as i64,
             body: Body::Clean,
+            refined: false,
         })
         .collect();
     let src = render(&items, &mut rng);
@@ -279,6 +442,55 @@ fn one_item_edit_reuses_the_unchanged_items() {
         "the other defines must be reused, got {:?}",
         warm.stats.unchanged_items
     );
+}
+
+/// Toggling a hub's range re-checks exactly the hub and the items that
+/// can read its binding: direct readers (a caller, an alias define) and
+/// transitive ones (a caller of the alias). A caller of a caller reads
+/// only that caller's signature, and unrelated items read nothing that
+/// changed: all of those splice.
+#[test]
+fn a_signature_edit_rechecks_exactly_the_hub_and_its_readers() {
+    let module = |range: &str| {
+        let mut src = format!(
+            "(: hub : [x : Int] [y : Int] -> {range})\n\
+             (define (hub x y) (+ x 1))\n\
+             (: caller : [x : Int] [y : Int] -> Int)\n\
+             (define (caller x y) (hub x y))\n\
+             (define alias hub)\n\
+             (: via-alias : [x : Int] [y : Int] -> Int)\n\
+             (define (via-alias x y) (alias x y))\n\
+             (: second-hand : [x : Int] [y : Int] -> Int)\n\
+             (define (second-hand x y) (caller x y))\n"
+        );
+        for i in 0..4 {
+            src.push_str(&format!(
+                "(: other{i} : [x : Int] [y : Int] -> Int)\n(define (other{i} x y) (+ x {i}))\n"
+            ));
+        }
+        src + "(second-hand 1 2)\n(other0 1 2)\n"
+    };
+    let session = Session::new(SessionConfig::default());
+    let scratch = Session::new(SessionConfig {
+        incremental: false,
+        ..SessionConfig::default()
+    });
+    let cold = session.check(&SourceFile::new("hub.rtr", module("Int")));
+    assert!(cold.is_clean(), "{:#?}", cold.diagnostics);
+    let items = cold.results.len() as u32;
+    for range in ["[z : Int #:where (> z x)]", "Int"] {
+        let src = module(range);
+        let file = SourceFile::new("hub.rtr", &src);
+        let warm = session.check(&file);
+        assert!(warm.is_clean(), "{:#?}", warm.diagnostics);
+        assert_eq!(
+            report_key(&warm, &src),
+            report_key(&scratch.check(&file), &src)
+        );
+        // hub, caller, alias, via-alias.
+        assert_eq!(warm.stats.rechecked_items, Some(4), "range {range}");
+        assert_eq!(warm.stats.unchanged_items, Some(items - 4));
+    }
 }
 
 /// A clean module whose one definition nests past the 160-level inline
