@@ -1,10 +1,9 @@
-//! Cache-effectiveness smoke test (`stats` feature only): checking the
-//! §4.1 alias-chain workload must actually *hit* the subtype memo table —
-//! if these assertions fail, the caches compile but never fire, and the
-//! perf numbers in `BENCH_checker.json` are a lie.
-//!
-//! Run with: `cargo test -p rtr-bench --features stats --test stats_smoke`
-#![cfg(feature = "stats")]
+//! Cache-effectiveness smoke tests: checking the §4.1 alias-chain
+//! workload must actually *hit* the subtype memo table — if these
+//! assertions fail, the caches compile but never fire, and the perf
+//! numbers in `BENCH_checker.json` are a lie. The counters belong to
+//! the checker that counted them, so concurrent checks on different
+//! checkers never mix.
 
 use std::sync::{Mutex, MutexGuard};
 
@@ -13,8 +12,8 @@ use rtr_core::check::Checker;
 use rtr_lang::check_source;
 
 /// Serializes the tests of this binary. They share the process-wide
-/// interner and counters, so a neighbour interning new trees while
-/// another test measures would break that test's before/after deltas.
+/// interner, so a neighbour interning new trees while another test
+/// measures would break that test's before/after arena deltas.
 fn serial() -> MutexGuard<'static, ()> {
     static SERIAL: Mutex<()> = Mutex::new(());
     SERIAL
@@ -52,7 +51,7 @@ fn alias_chain_hits_the_memo_tables() {
 }
 
 #[test]
-fn env_maps_share_structure_and_fresh_names_stay_out_of_the_permanent_arena() {
+fn fresh_names_stay_out_of_the_permanent_arena() {
     let _serial = serial();
     let checker = Checker::default();
     // dot-prod mints ghost existentials (fresh names) at every
@@ -70,24 +69,9 @@ fn env_maps_share_structure_and_fresh_names_stay_out_of_the_permanent_arena() {
         check_source(&warm, &checker).expect("warm-up module checks");
     }
 
-    let env_before = rtr_core::env::env_stats();
     let arena_before = rtr_core::intern::arena_stats();
     check_source(&src, &checker).expect("dot-prod module re-checks");
-    let env_after = rtr_core::env::env_stats();
     let arena_after = rtr_core::intern::arena_stats();
-
-    // The persistent environment maps were written to and shared
-    // structurally: writes happened, and far fewer trie nodes were cloned
-    // than a whole-map copy-on-write would have copied.
-    let writes = env_after.pmap_writes - env_before.pmap_writes;
-    let cloned = env_after.pmap_nodes_cloned - env_before.pmap_nodes_cloned;
-    let spared = env_after.pmap_entries_spared - env_before.pmap_entries_spared;
-    assert!(writes > 0, "no persistent-map writes recorded");
-    assert!(env_after.snapshots > env_before.snapshots, "no snapshots");
-    assert!(
-        cloned < spared,
-        "structural sharing ineffective: {cloned} nodes cloned vs {spared} entries a map copy would have touched"
-    );
 
     // Re-checking a warm module mints fresh names (ghost existentials),
     // and those must land in the fresh region, not the permanent arena.
@@ -211,5 +195,46 @@ fn theory_heavy_programs_hit_the_solver_caches() {
     assert!(
         stats.bv.0 > 0,
         "bitvector solver cache never hit: {stats:?}"
+    );
+}
+
+#[test]
+fn concurrent_checkers_count_only_their_own_checks() {
+    let _serial = serial();
+    let modules = [
+        rtr_bench::dot_prod_module_src(2),
+        rtr_bench::string_module_src(4),
+    ];
+    let counters = |src: &str, start: Option<&std::sync::Barrier>| {
+        let checker = Checker::default();
+        if let Some(start) = start {
+            start.wait();
+        }
+        check_source(src, &checker).expect("module checks");
+        (checker.cache_stats(), checker.budget_stats())
+    };
+    let alone: Vec<_> = modules.iter().map(|src| counters(src, None)).collect();
+    // Both checks start together, so they overlap.
+    let start = std::sync::Barrier::new(modules.len());
+    let parallel: Vec<_> = std::thread::scope(|scope| {
+        let workers: Vec<_> = modules
+            .iter()
+            .map(|src| scope.spawn(|| counters(src, Some(&start))))
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("checker thread"))
+            .collect()
+    });
+    for ((cache, budget), src) in alone.iter().zip(&modules) {
+        assert!(
+            cache.subtype.0 + cache.subtype.1 > 0,
+            "no subtype queries on\n{src}"
+        );
+        assert!(budget.steps_synth > 0, "no typing steps counted on\n{src}");
+    }
+    assert_eq!(
+        parallel, alone,
+        "a checker's counters depend on what other checkers ran meanwhile"
     );
 }

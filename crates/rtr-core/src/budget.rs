@@ -45,9 +45,10 @@
 //! [`CheckerConfig::max_depth`]: crate::config::CheckerConfig::max_depth
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use crate::cache::LockRecover;
 use crate::config::CheckerConfig;
 
 /// Which resource limit tripped (carried by `E0202` diagnostics and the
@@ -173,41 +174,9 @@ pub enum Judgment {
 /// steps keeps the overhead invisible while bounding overshoot.
 const DEADLINE_POLL_MASK: u64 = 0xff;
 
-/// Aggregate budget-consumption counters (`stats` feature), shared by a
-/// check's per-item budget forks so `rtr check --stats` can report how
+/// Budget-consumption counters (surfaced by `rtr check --stats`): how
 /// close a workload runs to its limits.
-#[cfg(feature = "stats")]
-#[derive(Debug)]
-pub(crate) struct BudgetTotals {
-    steps_synth: AtomicU64,
-    steps_proves: AtomicU64,
-    steps_subtype: AtomicU64,
-    steps_update: AtomicU64,
-    depth_high: AtomicU32,
-    /// Smallest remaining wall-clock margin observed at an item
-    /// boundary, in microseconds (`u64::MAX` = no deadline was set).
-    min_margin_us: AtomicU64,
-    trips: AtomicU64,
-}
-
-#[cfg(feature = "stats")]
-impl Default for BudgetTotals {
-    fn default() -> BudgetTotals {
-        BudgetTotals {
-            steps_synth: AtomicU64::new(0),
-            steps_proves: AtomicU64::new(0),
-            steps_subtype: AtomicU64::new(0),
-            steps_update: AtomicU64::new(0),
-            depth_high: AtomicU32::new(0),
-            min_margin_us: AtomicU64::new(u64::MAX),
-            trips: AtomicU64::new(0),
-        }
-    }
-}
-
-/// A snapshot of [`BudgetTotals`] (surfaced by `rtr check --stats`).
-#[cfg(feature = "stats")]
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BudgetStats {
     /// Steps attributed to the typing judgment.
     pub steps_synth: u64,
@@ -226,13 +195,31 @@ pub struct BudgetStats {
     pub trips: u64,
 }
 
+impl BudgetStats {
+    /// Adds `more` (one item's counts) to these totals.
+    fn absorb(&mut self, more: BudgetStats) {
+        self.steps_synth += more.steps_synth;
+        self.steps_proves += more.steps_proves;
+        self.steps_subtype += more.steps_subtype;
+        self.steps_update += more.steps_update;
+        self.depth_high_water = self.depth_high_water.max(more.depth_high_water);
+        self.deadline_margin_us = match (self.deadline_margin_us, more.deadline_margin_us) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+        self.trips += more.trips;
+    }
+}
+
 /// The mutable resource state of one check (or one module item).
 ///
 /// Shared by a checker and its clones through an `Arc`; a fresh state is
 /// forked per checked item so one pathological item cannot starve — or
-/// mis-attribute a trip to — its neighbours. All fields are atomics:
-/// checking itself is single-threaded, but the checker must stay `Sync`
-/// for the big-stack worker hop.
+/// mis-attribute a trip to — its neighbours. The per-step fields are
+/// atomics: checking itself is single-threaded, but the checker must
+/// stay `Sync` for the big-stack worker hop. A fork counts its own
+/// steps and adds them to the totals it shares with its parent once,
+/// at each item boundary.
 #[derive(Debug)]
 pub struct BudgetState {
     max_steps: Option<u64>,
@@ -246,8 +233,13 @@ pub struct BudgetState {
     tripped: AtomicU8,
     /// External revocation handle, polled alongside the deadline.
     cancel: Option<CancelToken>,
-    #[cfg(feature = "stats")]
-    totals: Arc<BudgetTotals>,
+    /// Steps burned per [`Judgment`], deepest recursion and trips since
+    /// this state's counts last went into `totals`.
+    steps_by: [AtomicU64; 4],
+    depth_high: AtomicU64,
+    trips: AtomicU64,
+    /// The running totals of the checker this state was forked from.
+    totals: Arc<Mutex<BudgetStats>>,
     #[cfg(feature = "chaos")]
     chaos: Option<ChaosState>,
 }
@@ -271,7 +263,9 @@ impl BudgetState {
             depth: AtomicU32::new(0),
             tripped: AtomicU8::new(0),
             cancel: None,
-            #[cfg(feature = "stats")]
+            steps_by: Default::default(),
+            depth_high: AtomicU64::new(0),
+            trips: AtomicU64::new(0),
             totals: Arc::default(),
             #[cfg(feature = "chaos")]
             chaos: config.chaos.map(|c| ChaosState::new(c, 0)),
@@ -295,7 +289,9 @@ impl BudgetState {
             depth: AtomicU32::new(0),
             tripped: AtomicU8::new(0),
             cancel: self.cancel.clone(),
-            #[cfg(feature = "stats")]
+            steps_by: Default::default(),
+            depth_high: AtomicU64::new(0),
+            trips: AtomicU64::new(0),
             totals: Arc::clone(&self.totals),
             #[cfg(feature = "chaos")]
             chaos: self.chaos.as_ref().map(|c| ChaosState::new(c.config, salt)),
@@ -342,8 +338,7 @@ impl BudgetState {
         let _ =
             self.tripped
                 .compare_exchange(0, kind.to_u8(), Ordering::Relaxed, Ordering::Relaxed);
-        #[cfg(feature = "stats")]
-        self.totals.trips.fetch_add(1, Ordering::Relaxed);
+        self.trips.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The first governance limit that tripped during this item, if any.
@@ -361,18 +356,10 @@ impl BudgetState {
             return Some(k);
         }
         let n = self.steps.fetch_add(1, Ordering::Relaxed) + 1;
-        #[cfg(feature = "stats")]
-        {
-            let c = match j {
-                Judgment::Synth => &self.totals.steps_synth,
-                Judgment::Proves => &self.totals.steps_proves,
-                Judgment::Subtype => &self.totals.steps_subtype,
-                Judgment::Update => &self.totals.steps_update,
-            };
-            c.fetch_add(1, Ordering::Relaxed);
-        }
-        #[cfg(not(feature = "stats"))]
-        let _ = j;
+        // One thread at a time burns a given fork, so a plain load and
+        // store count exactly, without a locked read-modify-write.
+        let by = &self.steps_by[j as usize];
+        by.store(by.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
         if let Some(max) = self.max_steps {
             if n > max {
                 self.trip(LimitKind::Steps);
@@ -430,36 +417,51 @@ impl BudgetState {
             self.trip(LimitKind::Depth);
             return Err(LimitKind::Depth);
         }
-        #[cfg(feature = "stats")]
-        self.totals.depth_high.fetch_max(d, Ordering::Relaxed);
+        if u64::from(d) > self.depth_high.load(Ordering::Relaxed) {
+            self.depth_high.store(u64::from(d), Ordering::Relaxed);
+        }
         Ok(DepthGuard { budget: self })
     }
 
-    /// Records the remaining wall-clock margin at an item boundary
+    /// Adds this state's counts to the checker's totals at an item (or
+    /// check) boundary, with the wall-clock margin left right now
     /// (`--stats`: "how close did this run get to its deadline").
     pub(crate) fn note_margin(&self) {
-        #[cfg(feature = "stats")]
-        if let Some(d) = self.deadline {
-            let left = d
-                .checked_duration_since(Instant::now())
-                .map(|d| d.as_micros() as u64)
-                .unwrap_or(0);
-            self.totals.min_margin_us.fetch_min(left, Ordering::Relaxed);
-        }
+        let mut item = self.pending(true);
+        item.deadline_margin_us = self.deadline.map(|d| {
+            d.checked_duration_since(Instant::now())
+                .map_or(0, |d| d.as_micros() as u64)
+        });
+        self.totals.lock_recover().absorb(item);
     }
 
-    #[cfg(feature = "stats")]
+    /// The checker's totals, plus what this state has counted since it
+    /// last added to them.
     pub(crate) fn stats(&self) -> BudgetStats {
-        let t = &self.totals;
-        let margin = t.min_margin_us.load(Ordering::Relaxed);
+        let mut stats = *self.totals.lock_recover();
+        stats.absorb(self.pending(false));
+        stats
+    }
+
+    /// The counts not yet in the totals; `take` zeroes them.
+    fn pending(&self, take: bool) -> BudgetStats {
+        // Like `burn`, relies on one thread at a time using this state.
+        let read = |c: &AtomicU64| {
+            let n = c.load(Ordering::Relaxed);
+            if take {
+                c.store(0, Ordering::Relaxed);
+            }
+            n
+        };
+        let [synth, proves, subtype, update] = &self.steps_by;
         BudgetStats {
-            steps_synth: t.steps_synth.load(Ordering::Relaxed),
-            steps_proves: t.steps_proves.load(Ordering::Relaxed),
-            steps_subtype: t.steps_subtype.load(Ordering::Relaxed),
-            steps_update: t.steps_update.load(Ordering::Relaxed),
-            depth_high_water: t.depth_high.load(Ordering::Relaxed),
-            deadline_margin_us: (margin != u64::MAX).then_some(margin),
-            trips: t.trips.load(Ordering::Relaxed),
+            steps_synth: read(synth),
+            steps_proves: read(proves),
+            steps_subtype: read(subtype),
+            steps_update: read(update),
+            depth_high_water: read(&self.depth_high) as u32,
+            deadline_margin_us: None,
+            trips: read(&self.trips),
         }
     }
 

@@ -18,9 +18,10 @@
 //! so the locks are uncontended. Each table is capped — on overflow it is
 //! simply cleared, which is always sound for a memo table.
 //!
-//! With the `stats` Cargo feature, per-table hit/miss counters are
-//! maintained and exposed through [`crate::check::Checker`]'s stats API
-//! (surfaced by `rtr check --stats`).
+//! Each table counts its hits and misses under its own lock; the
+//! counters belong to the checker that owns the tables and are exposed
+//! through [`crate::check::Checker::cache_stats`] (surfaced by
+//! `rtr check --stats`).
 
 use std::hash::Hash;
 
@@ -52,7 +53,7 @@ const TABLE_CAP: usize = 1 << 20;
 
 /// A cached verdict for a fuel-bounded boolean judgment.
 #[derive(Clone, Copy, Debug)]
-enum Entry {
+pub(crate) enum Entry {
     /// The judgment holds (valid at any fuel).
     True,
     /// The judgment failed when asked with this much fuel; valid for
@@ -60,71 +61,103 @@ enum Entry {
     FalseAt(u32),
 }
 
-/// Hit/miss counters for one table (compiled only with `stats`).
-#[cfg(feature = "stats")]
-#[derive(Debug, Default)]
-pub(crate) struct Counters {
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-#[cfg(feature = "stats")]
-impl Counters {
-    fn hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn snapshot(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
-}
-
-/// A fuel-aware memo table.
+/// One memo table: its entries and its hit/miss counters under a single
+/// lock (so counting a lookup costs no extra synchronization), flushed
+/// wholesale once it holds `CAP` entries.
 #[derive(Debug)]
-pub(crate) struct Table<K> {
-    map: Mutex<FxHashMap<K, Entry>>,
-    #[cfg(feature = "stats")]
-    pub(crate) counters: Counters,
+pub(crate) struct Memo<K, V, const CAP: usize> {
+    state: Mutex<MemoState<K, V>>,
 }
 
-// Manual impl: `derive(Default)` would needlessly bound `K: Default`.
-impl<K> Default for Table<K> {
+#[derive(Debug)]
+struct MemoState<K, V> {
+    map: FxHashMap<K, V>,
+    hits: u64,
+    misses: u64,
+}
+
+/// A fuel-aware judgment table (see the module docs).
+pub(crate) type Table<K> = Memo<K, Entry, TABLE_CAP>;
+
+/// A fuel-free table, for purely structural judgments.
+pub(crate) type SimpleTable<K> = Memo<K, bool, TABLE_CAP>;
+
+/// A verdict memo for solver-level queries: non-`Copy` structural keys
+/// (canonicalized constraint-system fingerprints), smaller cap.
+pub(crate) type VerdictMap<K, V> = Memo<K, V, SOLVER_TABLE_CAP>;
+
+// Manual impl: `derive(Default)` would needlessly bound `K, V: Default`.
+impl<K, V, const CAP: usize> Default for Memo<K, V, CAP> {
     fn default() -> Self {
-        Table {
-            map: Mutex::new(FxHashMap::default()),
-            #[cfg(feature = "stats")]
-            counters: Counters::default(),
+        Memo {
+            state: Mutex::new(MemoState {
+                map: FxHashMap::default(),
+                hits: 0,
+                misses: 0,
+            }),
         }
     }
 }
 
-impl<K: Eq + Hash + Copy> Table<K> {
-    pub(crate) fn lookup(&self, key: K, fuel: u32) -> Option<bool> {
-        let verdict = match self.map.lock_recover().get(&key) {
-            Some(Entry::True) => Some(true),
-            Some(Entry::FalseAt(f)) if fuel <= *f => Some(false),
-            _ => None,
-        };
-        #[cfg(feature = "stats")]
-        match verdict {
-            Some(_) => self.counters.hit(),
-            None => self.counters.miss(),
+impl<K: Eq + Hash, V, const CAP: usize> Memo<K, V, CAP> {
+    /// Looks `key` up, counting a hit when `read` answers from the
+    /// stored entry and a miss otherwise.
+    fn probe<T>(&self, key: &K, read: impl FnOnce(&V) -> Option<T>) -> Option<T> {
+        let mut state = self.state.lock_recover();
+        let answer = state.map.get(key).and_then(read);
+        match answer {
+            Some(_) => state.hits += 1,
+            None => state.misses += 1,
         }
-        verdict
+        answer
     }
 
-    pub(crate) fn store(&self, key: K, fuel: u32, verdict: bool) {
-        let mut map = self.map.lock_recover();
-        if map.len() >= TABLE_CAP {
-            map.clear();
+    /// The entries, flushed first if the table is full.
+    fn entries_with_room(state: &mut MemoState<K, V>) -> &mut FxHashMap<K, V> {
+        if state.map.len() >= CAP {
+            state.map.clear();
         }
+        &mut state.map
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.state.lock_recover().map.len()
+    }
+
+    pub(crate) fn clear(&self) {
+        self.state.lock_recover().map.clear();
+    }
+
+    /// `(hits, misses)` over the table's lifetime (flushes keep them).
+    pub(crate) fn counters(&self) -> (u64, u64) {
+        let state = self.state.lock_recover();
+        (state.hits, state.misses)
+    }
+}
+
+impl<K: Eq + Hash, V: Clone, const CAP: usize> Memo<K, V, CAP> {
+    pub(crate) fn lookup(&self, key: &K) -> Option<V> {
+        self.probe(key, |v| Some(v.clone()))
+    }
+
+    pub(crate) fn store(&self, key: K, verdict: V) {
+        Self::entries_with_room(&mut self.state.lock_recover()).insert(key, verdict);
+    }
+}
+
+impl<K: Eq + Hash> Table<K> {
+    /// The cached verdict for a query asked with `fuel`, if one applies.
+    pub(crate) fn lookup_at(&self, key: &K, fuel: u32) -> Option<bool> {
+        self.probe(key, |entry| match *entry {
+            Entry::True => Some(true),
+            Entry::FalseAt(f) if fuel <= f => Some(false),
+            Entry::FalseAt(_) => None,
+        })
+    }
+
+    pub(crate) fn store_at(&self, key: K, fuel: u32, verdict: bool) {
+        let mut state = self.state.lock_recover();
+        let map = Self::entries_with_room(&mut state);
         match (verdict, map.get(&key)) {
             // True dominates (and never regresses to false).
             (true, _) => {
@@ -136,109 +169,6 @@ impl<K: Eq + Hash + Copy> Table<K> {
                 map.insert(key, Entry::FalseAt(fuel));
             }
         }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.map.lock_recover().len()
-    }
-
-    pub(crate) fn clear(&self) {
-        self.map.lock_recover().clear();
-    }
-}
-
-/// A fuel-free memo table (for purely structural judgments).
-#[derive(Debug)]
-pub(crate) struct SimpleTable<K> {
-    map: Mutex<FxHashMap<K, bool>>,
-    #[cfg(feature = "stats")]
-    pub(crate) counters: Counters,
-}
-
-impl<K> Default for SimpleTable<K> {
-    fn default() -> Self {
-        SimpleTable {
-            map: Mutex::new(FxHashMap::default()),
-            #[cfg(feature = "stats")]
-            counters: Counters::default(),
-        }
-    }
-}
-
-impl<K: Eq + Hash + Copy> SimpleTable<K> {
-    pub(crate) fn lookup(&self, key: K) -> Option<bool> {
-        let verdict = self.map.lock_recover().get(&key).copied();
-        #[cfg(feature = "stats")]
-        match verdict {
-            Some(_) => self.counters.hit(),
-            None => self.counters.miss(),
-        }
-        verdict
-    }
-
-    pub(crate) fn store(&self, key: K, verdict: bool) {
-        let mut map = self.map.lock_recover();
-        if map.len() >= TABLE_CAP {
-            map.clear();
-        }
-        map.insert(key, verdict);
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.map.lock_recover().len()
-    }
-
-    pub(crate) fn clear(&self) {
-        self.map.lock_recover().clear();
-    }
-}
-
-/// A verdict memo for solver-level queries: non-`Copy` structural keys
-/// (canonicalized constraint-system fingerprints), `Copy` verdict values.
-/// Capped and flushed like the judgment tables — clearing a memo is
-/// always sound.
-#[derive(Debug)]
-pub(crate) struct VerdictMap<K, V> {
-    map: Mutex<FxHashMap<K, V>>,
-    #[cfg(feature = "stats")]
-    pub(crate) counters: Counters,
-}
-
-impl<K, V> Default for VerdictMap<K, V> {
-    fn default() -> Self {
-        VerdictMap {
-            map: Mutex::new(FxHashMap::default()),
-            #[cfg(feature = "stats")]
-            counters: Counters::default(),
-        }
-    }
-}
-
-impl<K: Eq + Hash, V: Clone> VerdictMap<K, V> {
-    pub(crate) fn lookup(&self, key: &K) -> Option<V> {
-        let verdict = self.map.lock_recover().get(key).cloned();
-        #[cfg(feature = "stats")]
-        match verdict {
-            Some(_) => self.counters.hit(),
-            None => self.counters.miss(),
-        }
-        verdict
-    }
-
-    pub(crate) fn store(&self, key: K, verdict: V) {
-        let mut map = self.map.lock_recover();
-        if map.len() >= SOLVER_TABLE_CAP {
-            map.clear();
-        }
-        map.insert(key, verdict);
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.map.lock_recover().len()
-    }
-
-    pub(crate) fn clear(&self) {
-        self.map.lock_recover().clear();
     }
 }
 
@@ -280,9 +210,7 @@ pub(crate) fn path_fingerprint(fields: &[crate::syntax::Field]) -> Option<u64> {
 /// literals' free variables (sorted) and their `THEORY_*` bits.
 pub(crate) type ClauseMeta = (std::sync::Arc<[crate::syntax::Symbol]>, u8);
 
-/// Counters for the lazy case-split scheduler (compiled only with
-/// `stats`; the scheduler itself runs identically without them).
-#[cfg(feature = "stats")]
+/// Counters for the lazy case-split scheduler.
 #[derive(Debug, Default)]
 pub(crate) struct SplitStats {
     /// Clauses that collapsed to a unit literal at split time (one side
@@ -296,7 +224,6 @@ pub(crate) struct SplitStats {
     pub(crate) deferred: AtomicU64,
 }
 
-#[cfg(feature = "stats")]
 impl SplitStats {
     pub(crate) fn snapshot(&self) -> (u64, u64, u64) {
         (
@@ -355,7 +282,6 @@ pub(crate) struct Caches {
     /// lazy split scheduler on every `proves` that reaches ∨-elimination.
     pub(crate) clause_meta: VerdictMap<(PropId, PropId), ClauseMeta>,
     /// Lazy split scheduler counters (`--stats`).
-    #[cfg(feature = "stats")]
     pub(crate) splits: SplitStats,
     /// Instantiated polymorphic Δ-table types, keyed
     /// `(primitive, canonical argument type ids)` — local type inference

@@ -132,12 +132,9 @@ pub struct Checker {
     budget: std::sync::Arc<BudgetState>,
 }
 
-/// Cache-effectiveness counters, per memo table (`hits`, `misses`).
-///
-/// Only available with the `stats` Cargo feature; surfaced by
-/// `rtr check --stats`.
-#[cfg(feature = "stats")]
-#[derive(Clone, Copy, Debug, Default)]
+/// Cache-effectiveness counters, per memo table (`hits`, `misses`), of
+/// one checker and its clones (surfaced by `rtr check --stats`).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Subtype memo table.
     pub subtype: (u64, u64),
@@ -334,19 +331,18 @@ impl Checker {
     }
 
     /// Hit/miss counters for each memo table.
-    #[cfg(feature = "stats")]
     pub fn cache_stats(&self) -> CacheStats {
         CacheStats {
-            subtype: self.caches.subtype.counters.snapshot(),
-            proves: self.caches.proves.counters.snapshot(),
-            inconsistent: self.caches.inconsistent.counters.snapshot(),
-            empty: self.caches.empty.counters.snapshot(),
-            update: self.caches.update.counters.snapshot(),
-            overlap: self.caches.overlap.counters.snapshot(),
-            lin: self.caches.lin.counters.snapshot(),
-            bv: self.caches.bv.counters.snapshot(),
-            re: self.caches.re.counters.snapshot(),
-            clause_meta: self.caches.clause_meta.counters.snapshot(),
+            subtype: self.caches.subtype.counters(),
+            proves: self.caches.proves.counters(),
+            inconsistent: self.caches.inconsistent.counters(),
+            empty: self.caches.empty.counters(),
+            update: self.caches.update.counters(),
+            overlap: self.caches.overlap.counters(),
+            lin: self.caches.lin.counters(),
+            bv: self.caches.bv.counters(),
+            re: self.caches.re.counters(),
+            clause_meta: self.caches.clause_meta.counters(),
             splits: self.caches.splits.snapshot(),
             re_session: self.re_session_stats(),
         }
@@ -355,7 +351,6 @@ impl Checker {
     /// Budget-consumption counters accumulated by this checker's forks:
     /// steps burned per judgment, the recursion-depth high-water mark,
     /// the minimum wall-clock margin observed, and limit trips.
-    #[cfg(feature = "stats")]
     pub fn budget_stats(&self) -> crate::budget::BudgetStats {
         self.budget.stats()
     }

@@ -61,58 +61,8 @@ fn next_lin_epoch() -> u64 {
     EPOCH.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Environment-level counters (`stats` feature): snapshots taken and
-/// unbind scans resolved purely from id metadata.
-#[cfg(feature = "stats")]
-pub(crate) mod stats {
-    use std::sync::atomic::AtomicU64;
-
-    /// `Env::clone` calls (the checker snapshots at every binder/branch).
-    pub static SNAPSHOTS: AtomicU64 = AtomicU64::new(0);
-    /// `Env::unbind` calls that needed no per-binding rewrite at all
-    /// (the id metadata proved nothing mentions the unbound variable).
-    pub static UNBIND_FAST: AtomicU64 = AtomicU64::new(0);
-    /// Total `Env::unbind` calls.
-    pub static UNBIND_TOTAL: AtomicU64 = AtomicU64::new(0);
-}
-
-/// A snapshot of the environment/`PMap` counters (`stats` feature).
-#[cfg(feature = "stats")]
-#[derive(Clone, Copy, Debug, Default)]
-pub struct EnvStats {
-    /// Environment snapshots taken (`Env::clone`).
-    pub snapshots: u64,
-    /// `unbind` calls that were pure map removes.
-    pub unbind_fast: u64,
-    /// Total `unbind` calls.
-    pub unbind_total: u64,
-    /// Insert/remove operations on the persistent maps.
-    pub pmap_writes: u64,
-    /// Trie nodes physically cloned by those writes (copy-on-write hits
-    /// on shared nodes).
-    pub pmap_nodes_cloned: u64,
-    /// Entries a whole-map copy-on-write clone would have copied instead
-    /// — `1 - nodes_cloned / entries_spared` is the structural-share
-    /// rate.
-    pub pmap_entries_spared: u64,
-}
-
-/// Reads the global environment/map counters.
-#[cfg(feature = "stats")]
-pub fn env_stats() -> EnvStats {
-    use std::sync::atomic::Ordering::Relaxed;
-    EnvStats {
-        snapshots: stats::SNAPSHOTS.load(Relaxed),
-        unbind_fast: stats::UNBIND_FAST.load(Relaxed),
-        unbind_total: stats::UNBIND_TOTAL.load(Relaxed),
-        pmap_writes: crate::pmap::stats::WRITES.load(Relaxed),
-        pmap_nodes_cloned: crate::pmap::stats::NODES_CLONED.load(Relaxed),
-        pmap_entries_spared: crate::pmap::stats::ENTRIES_SPARED.load(Relaxed),
-    }
-}
-
 /// A type-checking environment Γ.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct Env {
     /// Eager alias substitutions: `x ↦ o` (representative objects, §4.1),
     /// stored interned in a persistent map.
@@ -153,28 +103,6 @@ pub struct Env {
     /// (`lin_facts[..n]` is exactly the parent's store). `None` after
     /// non-append edits (`unbind`), which force a from-scratch solve.
     lin_parent: Option<u64>,
-}
-
-impl Clone for Env {
-    fn clone(&self) -> Env {
-        #[cfg(feature = "stats")]
-        stats::SNAPSHOTS.fetch_add(1, Ordering::Relaxed);
-        Env {
-            aliases: self.aliases.clone(),
-            types: self.types.clone(),
-            negs: self.negs.clone(),
-            disjs: self.disjs.clone(),
-            lin_facts: self.lin_facts.clone(),
-            bv_facts: self.bv_facts.clone(),
-            str_facts: self.str_facts.clone(),
-            pending: self.pending.clone(),
-            mutables: self.mutables.clone(),
-            absurd: self.absurd,
-            generation: self.generation,
-            lin_epoch: self.lin_epoch,
-            lin_parent: self.lin_parent,
-        }
-    }
 }
 
 impl Env {
@@ -370,10 +298,6 @@ impl Env {
     pub fn unbind(&mut self, x: Symbol) {
         use crate::intern::{objs_mentioning, props_mentioning, tys_mentioning};
         self.touch();
-        #[cfg(feature = "stats")]
-        stats::UNBIND_TOTAL.fetch_add(1, Ordering::Relaxed);
-        #[cfg(feature = "stats")]
-        let mut pure_remove = true;
         self.types.remove(x);
         // Rewrite only bindings whose type actually mentions `x` (the
         // cached mention set over-approximates, so a miss is a proof of
@@ -387,10 +311,6 @@ impl Env {
             if !dirty {
                 continue;
             }
-            #[cfg(feature = "stats")]
-            {
-                pure_remove = false;
-            }
             let rewritten = TyId::of(&t.get().subst_obj(x, &Obj::Null));
             self.types.insert(y, rewritten);
         }
@@ -401,10 +321,6 @@ impl Env {
             if !dirty {
                 continue;
             }
-            #[cfg(feature = "stats")]
-            {
-                pure_remove = false;
-            }
             self.aliases.remove(y);
         }
         let neg_ids: Vec<TyId> = self.negs.values().flatten().copied().collect();
@@ -414,10 +330,6 @@ impl Env {
             .filter_map(|(dirty, id)| dirty.then_some(id))
             .collect();
         if !neg_dirty.is_empty() || self.negs.keys().any(|p| p.base == x) {
-            #[cfg(feature = "stats")]
-            {
-                pure_remove = false;
-            }
             let negs = Arc::make_mut(&mut self.negs);
             negs.retain(|p, _| p.base != x);
             for ts in negs.values_mut() {
@@ -430,19 +342,11 @@ impl Env {
         }
         let disj_flags = props_mentioning(x, self.disjs.iter().flat_map(|&(p, q)| [p, q]));
         if disj_flags.iter().any(|&d| d) {
-            #[cfg(feature = "stats")]
-            {
-                pure_remove = false;
-            }
             let disjs = Arc::make_mut(&mut self.disjs);
             let mut keep = disj_flags.chunks(2).map(|c| !c[0] && !c[1]);
             disjs.retain(|_| keep.next().expect("one flag pair per disjunction"));
         }
         if self.lin_facts.iter().any(|a| a.mentions_var(x)) {
-            #[cfg(feature = "stats")]
-            {
-                pure_remove = false;
-            }
             Arc::make_mut(&mut self.lin_facts).retain(|a| !a.mentions_var(x));
             // Not an append: incremental solver states can't extend this.
             self.lin_epoch = if self.lin_facts.is_empty() {
@@ -453,29 +357,13 @@ impl Env {
             self.lin_parent = None;
         }
         if self.bv_facts.iter().any(|a| a.mentions_var(x)) {
-            #[cfg(feature = "stats")]
-            {
-                pure_remove = false;
-            }
             Arc::make_mut(&mut self.bv_facts).retain(|a| !a.mentions_var(x));
         }
         if self.str_facts.iter().any(|a| a.mentions_var(x)) {
-            #[cfg(feature = "stats")]
-            {
-                pure_remove = false;
-            }
             Arc::make_mut(&mut self.str_facts).retain(|a| !a.mentions_var(x));
         }
         if self.pending.iter().any(|(p, _, _)| p.base == x) {
-            #[cfg(feature = "stats")]
-            {
-                pure_remove = false;
-            }
             Arc::make_mut(&mut self.pending).retain(|(p, _, _)| p.base != x);
-        }
-        #[cfg(feature = "stats")]
-        if pure_remove {
-            stats::UNBIND_FAST.fetch_add(1, Ordering::Relaxed);
         }
     }
 

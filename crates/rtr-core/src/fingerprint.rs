@@ -20,9 +20,9 @@
 //!
 //! The same traversal provides [`item_salt`] — the name-keyed salt for
 //! per-item budget/chaos forks, stable under inserting or reordering
-//! neighbouring definitions — and [`free_refs`], the item-level
-//! dependency edges the driver's splice guard and cutoff accounting
-//! use.
+//! neighbouring definitions — and, in [`fingerprint_and_free_refs`],
+//! the item-level dependency edges the driver's splice guard and cutoff
+//! accounting use.
 
 use crate::module::ModuleItem;
 use crate::syntax::{
@@ -561,21 +561,25 @@ pub fn item_salt(item: &ModuleItem) -> u64 {
     }
 }
 
-/// The free references of an item: every module-level name its check can
-/// read — each name the fingerprint hashes as free, wherever it occurs:
-/// term variables, `set!` targets, and names in the signature, in
-/// annotations and in parameter types (dependent positions included) —
-/// minus the item's own recursive binding. Sorted for determinism. These
-/// are the edges of the item-level dependency graph: the incremental
-/// driver's splice guard starts its reachability walk from them.
-pub fn free_refs(item: &ModuleItem) -> Vec<Symbol> {
-    let mut out = hash_item(item, true).free.unwrap_or_default();
+/// The item's [`item_fingerprint`] and its free references, from one
+/// traversal. The free references are every module-level name the
+/// item's check can read — each name the fingerprint hashes as free,
+/// wherever it occurs: term variables, `set!` targets, and names in the
+/// signature, in annotations and in parameter types (dependent
+/// positions included) — minus the item's own recursive binding.
+/// Sorted for determinism. These are the edges of the item-level
+/// dependency graph: the incremental driver's splice guard starts its
+/// reachability walk from them.
+pub fn fingerprint_and_free_refs(item: &ModuleItem) -> (u128, Vec<Symbol>) {
+    let fp = hash_item(item, true);
+    let hash = fp.finish();
+    let mut refs = fp.free.unwrap_or_default();
     if let ModuleItem::DefineRec { name, .. } = item {
-        out.retain(|x| x != name);
+        refs.retain(|x| x != name);
     }
-    out.sort_by_key(|s| s.as_str());
-    out.dedup();
-    out
+    refs.sort_by_key(|s| s.as_str());
+    refs.dedup();
+    (hash, refs)
 }
 
 #[cfg(test)]
@@ -690,7 +694,7 @@ mod tests {
             node: None,
             sig_node: None,
         };
-        let refs = free_refs(&item);
+        let refs = fingerprint_and_free_refs(&item).1;
         assert!(refs.contains(&s("fr_g")));
         assert!(!refs.contains(&s("fr_f")), "self-reference excluded");
         assert!(!refs.contains(&s("x")), "parameters are bound");
@@ -708,6 +712,6 @@ mod tests {
             ),
             node: None,
         };
-        assert_eq!(free_refs(&annotated), vec![s("fr_n")]);
+        assert_eq!(fingerprint_and_free_refs(&annotated).1, vec![s("fr_n")]);
     }
 }

@@ -50,18 +50,19 @@
 //!    disjunction or pending atom mentions d: their names are roots of
 //!    the walk in clause 4.
 //! 4. **No d ∈ D is reachable from what the item reads.** Starting from
-//!    the item's `free_refs`, its record's binder (name, type and
-//!    object), and every name the environment-wide facts mention
-//!    ([`Env::fact_names`]), following types and alias objects in E
-//!    ([`Env::reaches`]) never meets D. The walk stops at D, so it
-//!    visits only entries E and E₀ share, and finds the same closure
-//!    under both.
+//!    the item's `free_refs`, its record's binders (name, type and
+//!    object of the defined name and of the existentials its
+//!    right-hand side opened), and every name the environment-wide
+//!    facts mention ([`Env::fact_names`]), following types and alias
+//!    objects in E ([`Env::reaches`]) never meets D. The walk stops at
+//!    D, so it visits only entries E and E₀ share, and finds the same
+//!    closure under both.
 //!
 //! Under these clauses every read the item's judgments make returns the
 //! same answer under E and under E₀, so the run under E performs the
 //! same steps, reaches the same verdict and performs the same writes as
 //! the recorded run. None of those writes touches a d ∈ D: the item
-//! writes its binder (unbound on entry — a record whose binder name is
+//! writes its binders (unbound on entry — a record whose binder name is
 //! already bound re-checks, since re-binding rewrites every entry that
 //! mentions it), the fresh names it opens and the reachable names it
 //! learns about. So the environment after the item is exactly
@@ -104,7 +105,7 @@ use std::sync::Arc;
 
 use crate::check::Checker;
 use crate::env::Env;
-use crate::fingerprint::{free_refs, item_fingerprint};
+use crate::fingerprint::fingerprint_and_free_refs;
 use crate::intern::TyId;
 use crate::module::{ItemStep, ItemSummary, ModuleCheck, ModuleItem, ModuleRun};
 use crate::mutation::mutated_vars;
@@ -115,9 +116,10 @@ use crate::syntax::{Obj, Symbol, Ty, TyResult};
 struct ReuseData {
     /// The summary pushed onto [`ModuleCheck::results`].
     summary: ItemSummary,
-    /// The binder this item opened (replayed for the final lifting
-    /// substitution), if any.
-    binder: Option<(Symbol, Ty, Obj)>,
+    /// The binders this item opened — its name and the existentials
+    /// its right-hand side opened — replayed for the final lifting
+    /// substitution.
+    binders: Vec<(Symbol, Ty, Obj)>,
     /// `Some` iff this item was recorded as the module's *last trailing
     /// expression*: its pre-lift value result. A record made in the
     /// "last" role cannot splice into a non-last slot (and vice versa) —
@@ -132,8 +134,9 @@ pub struct ItemRecord {
     /// ([`crate::fingerprint::item_fingerprint`]).
     fp: u128,
     /// Module-level names the item can read
-    /// ([`crate::fingerprint::free_refs`]) — roots of the splice guard's
-    /// reachability walk, and the edges of the cutoff accounting.
+    /// ([`crate::fingerprint::fingerprint_and_free_refs`]) — roots of
+    /// the splice guard's reachability walk, and the edges of the
+    /// cutoff accounting.
     free_refs: Vec<Symbol>,
     /// The `set!`-mutated variables of this item's body (the module
     /// mutation pre-pass is the union of these).
@@ -217,52 +220,6 @@ pub struct RecheckStats {
     pub fp_hits: u32,
     /// Slots with no usable cached record.
     pub fp_misses: u32,
-}
-
-/// Process-wide accumulation of [`RecheckStats`], for `--stats`.
-#[cfg(feature = "stats")]
-pub mod stats {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    pub(super) static RECHECKED: AtomicU64 = AtomicU64::new(0);
-    pub(super) static SKIPPED: AtomicU64 = AtomicU64::new(0);
-    pub(super) static CUTOFF_STOPPED: AtomicU64 = AtomicU64::new(0);
-    pub(super) static FP_HITS: AtomicU64 = AtomicU64::new(0);
-    pub(super) static FP_MISSES: AtomicU64 = AtomicU64::new(0);
-
-    /// Snapshot of the process-wide incremental counters.
-    #[derive(Clone, Copy, Debug, Default)]
-    pub struct IncrStats {
-        /// Total items re-checked across all incremental runs.
-        pub rechecked: u64,
-        /// Total items spliced without re-checking.
-        pub skipped: u64,
-        /// Total dependents the early cutoff stopped from dirtying.
-        pub cutoff_stopped: u64,
-        /// Total fingerprint-table hits.
-        pub fp_hits: u64,
-        /// Total fingerprint-table misses.
-        pub fp_misses: u64,
-    }
-
-    /// Reads the process-wide incremental counters.
-    pub fn incr_stats() -> IncrStats {
-        IncrStats {
-            rechecked: RECHECKED.load(Ordering::Relaxed),
-            skipped: SKIPPED.load(Ordering::Relaxed),
-            cutoff_stopped: CUTOFF_STOPPED.load(Ordering::Relaxed),
-            fp_hits: FP_HITS.load(Ordering::Relaxed),
-            fp_misses: FP_MISSES.load(Ordering::Relaxed),
-        }
-    }
-
-    pub(super) fn accumulate(s: &super::RecheckStats) {
-        RECHECKED.fetch_add(u64::from(s.rechecked), Ordering::Relaxed);
-        SKIPPED.fetch_add(u64::from(s.skipped), Ordering::Relaxed);
-        CUTOFF_STOPPED.fetch_add(u64::from(s.cutoff_stopped), Ordering::Relaxed);
-        FP_HITS.fetch_add(u64::from(s.fp_hits), Ordering::Relaxed);
-        FP_MISSES.fetch_add(u64::from(s.fp_misses), Ordering::Relaxed);
-    }
 }
 
 impl Checker {
@@ -394,6 +351,12 @@ impl Checker {
         for (i, slot) in slots.iter().enumerate() {
             let is_last_slot = i + 1 == n;
 
+            // A fresh item is hashed once: the fingerprint that matches
+            // it against the old record is the one its new record keeps.
+            let key = match slot {
+                IncrSlot::Fresh(item) => Some(fingerprint_and_free_refs(item)),
+                IncrSlot::Reused(_) => None,
+            };
             // Resolve this slot's splice candidate.
             let (candidate, cand_idx, mut item_owned): (
                 Option<Arc<ItemRecord>>,
@@ -413,7 +376,7 @@ impl Checker {
                             idx = cursor;
                             let rec = &c.records[cursor];
                             cursor += 1;
-                            if rec.fp == item_fingerprint(item) {
+                            if key.as_ref().is_some_and(|(fp, _)| rec.fp == *fp) {
                                 cand = Some(rec.clone());
                             }
                         }
@@ -456,9 +419,7 @@ impl Checker {
                     stats.cutoff_stopped += 1;
                 }
                 run.out.results.push(ru.summary.clone());
-                if let Some(b) = &ru.binder {
-                    run.binders.push(b.clone());
-                }
+                run.binders.extend(ru.binders.iter().cloned());
                 if let Some(v) = &ru.value {
                     run.out.value = Some(v.clone());
                 }
@@ -506,13 +467,14 @@ impl Checker {
             let reuse = clean.then(|| {
                 Arc::new(ReuseData {
                     summary: run.out.results[results_before].clone(),
-                    binder: run.binders.get(binders_before).cloned(),
+                    binders: run.binders[binders_before..].to_vec(),
                     value,
                 })
             });
+            let (fp, free_refs) = key.unwrap_or_else(|| fingerprint_and_free_refs(&item));
             records.push(Arc::new(ItemRecord {
-                fp: item_fingerprint(&item),
-                free_refs: free_refs(&item),
+                fp,
+                free_refs,
                 mutated: fresh_muts[i].take().unwrap_or_else(|| item_mutated(&item)),
                 env_after: run.env.clone(),
                 reuse,
@@ -520,8 +482,7 @@ impl Checker {
         }
         let out = run.finish();
 
-        #[cfg(feature = "stats")]
-        stats::accumulate(&stats);
+        this.budget().note_margin();
 
         let cache = ItemCache {
             epoch,
@@ -559,10 +520,10 @@ impl Checker {
                 }
             }
         }
-        // What the item can read: its free references, its binder, and
+        // What the item can read: its free references, its binders, and
         // every name the environment-wide facts mention.
         let mut roots = rec.free_refs.clone();
-        if let Some((name, ty, obj)) = &ru.binder {
+        for (name, ty, obj) in &ru.binders {
             // Binding a name that is already bound rewrites every
             // binding that mentions it, the changed ones included.
             if env.is_bound(*name) {
@@ -589,6 +550,7 @@ fn item_mutated(item: &ModuleItem) -> Vec<Symbol> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fingerprint::item_fingerprint;
     use crate::syntax::{Expr, Lambda, Prim, Prop};
 
     fn int_to_int(name: &str) -> (Symbol, Ty) {

@@ -458,14 +458,14 @@ impl Checker {
             return self.proves_structural(env, goal, fuel, splits, from);
         }
         let key = (env.generation(), PropId::of(goal), splits);
-        if let Some(verdict) = self.caches().proves.lookup(key, fuel) {
+        if let Some(verdict) = self.caches().proves.lookup_at(&key, fuel) {
             return verdict;
         }
         let verdict = self.proves_structural(env, goal, fuel, splits, from);
         // A verdict computed under a tripped budget may be artificially
         // false; keep it out of the (budget-agnostic) memo tables.
         if self.may_store() {
-            self.caches().proves.store(key, fuel, verdict);
+            self.caches().proves.store_at(key, fuel, verdict);
         }
         verdict
     }
@@ -511,7 +511,6 @@ impl Checker {
                     mask & goal_mask != 0 || goal_vars.iter().any(|x| vars.binary_search(x).is_ok())
                 })
                 .collect();
-            #[cfg(feature = "stats")]
             crate::cache::SplitStats::bump(
                 &self.caches().splits.deferred,
                 relevant.iter().filter(|r| !**r).count() as u64,
@@ -545,11 +544,9 @@ impl Checker {
         let (p, q) = left.take_disj(i);
         let (p, q) = (p.get(), q.get());
         let mut right = left.clone();
-        #[cfg(feature = "stats")]
         crate::cache::SplitStats::bump(&self.caches().splits.taken, 1);
         self.assume(&mut left, &p, fuel);
         if left.is_absurd() {
-            #[cfg(feature = "stats")]
             crate::cache::SplitStats::bump(&self.caches().splits.units, 1);
         } else if !self.proves_with_splits_from(&left, goal, fuel, splits - 1, i) {
             return false;
@@ -757,12 +754,12 @@ impl Checker {
             return false;
         }
         let key = env.generation();
-        if let Some(verdict) = self.caches().inconsistent.lookup(key, fuel) {
+        if let Some(verdict) = self.caches().inconsistent.lookup_at(&key, fuel) {
             return verdict;
         }
         let verdict = self.env_inconsistent_structural(env, fuel);
         if self.may_store() {
-            self.caches().inconsistent.store(key, fuel, verdict);
+            self.caches().inconsistent.store_at(key, fuel, verdict);
         }
         verdict
     }

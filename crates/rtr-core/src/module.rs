@@ -213,6 +213,7 @@ impl Checker {
                 run.out.value = Some(v);
             }
         }
+        self.budget().note_margin();
         run.finish()
     }
 
@@ -283,6 +284,14 @@ impl Checker {
         let mut value = None;
         let failure = match caught {
             Ok(Ok((r, lift_obj))) => {
+                // A `let`-opened result binds its existentials in scope
+                // of the rest of the module; T-Let quantifies them in
+                // the module's value, so they are binders too.
+                if item.name().is_some() || !last {
+                    let opened = r.existentials.iter();
+                    run.binders
+                        .extend(opened.map(|(g, t)| (*g, t.clone(), Obj::Null)));
+                }
                 match item.name() {
                     Some(name) => {
                         run.binders.push((name, r.ty.clone(), lift_obj));

@@ -31,37 +31,10 @@
 //! arbitrary but stable, like `HashMap`'s within one process. The
 //! `pmap_props` property suite pins the map to `HashMap` semantics under
 //! random operation sequences, including snapshot/write independence.
-//!
-//! With the `stats` Cargo feature, global counters track writes and the
-//! nodes cloned by copy-on-write paths; `rtr check --stats` reports them
-//! as a structural-sharing rate.
 
 use std::sync::Arc;
 
 use crate::syntax::Symbol;
-
-#[cfg(feature = "stats")]
-pub(crate) mod stats {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    /// Insert/remove operations performed on any [`super::PMap`].
-    pub static WRITES: AtomicU64 = AtomicU64::new(0);
-    /// Nodes physically cloned because a write hit a shared node.
-    pub static NODES_CLONED: AtomicU64 = AtomicU64::new(0);
-    /// Entries that would have been copied had the write cloned the whole
-    /// map (i.e. the map's size at each write) — the denominator of the
-    /// structural-share rate.
-    pub static ENTRIES_SPARED: AtomicU64 = AtomicU64::new(0);
-
-    pub(super) fn count_write(map_len: usize) {
-        WRITES.fetch_add(1, Ordering::Relaxed);
-        ENTRIES_SPARED.fetch_add(map_len as u64, Ordering::Relaxed);
-    }
-
-    pub(super) fn count_clone() {
-        NODES_CLONED.fetch_add(1, Ordering::Relaxed);
-    }
-}
 
 /// Bits consumed per trie level.
 const BITS: u32 = 5;
@@ -167,8 +140,6 @@ impl<V: Copy> PMap<V> {
     /// the path to the key is copied; all other nodes stay shared with
     /// snapshots.
     pub fn insert(&mut self, key: Symbol, value: V) -> Option<V> {
-        #[cfg(feature = "stats")]
-        stats::count_write(self.len);
         let prev = match &mut self.root {
             None => {
                 self.root = Some(Arc::new(Node::Leaf(key, value)));
@@ -191,8 +162,6 @@ impl<V: Copy> PMap<V> {
         if !self.contains_key(key) {
             return None;
         }
-        #[cfg(feature = "stats")]
-        stats::count_write(self.len);
         let root = self.root.as_mut()?;
         let (removed, empty) = remove_rec(root, 0, hash(key), key);
         if empty {
@@ -294,15 +263,6 @@ fn subtrie<V: Copy>(node: &Node<V>) -> Iter<'_, V> {
     Iter { stack: vec![node] }
 }
 
-/// Clones-on-write access to a node, counting shared-node copies.
-fn make_mut<V: Copy>(node: &mut Arc<Node<V>>) -> &mut Node<V> {
-    #[cfg(feature = "stats")]
-    if Arc::strong_count(node) != 1 {
-        stats::count_clone();
-    }
-    Arc::make_mut(node)
-}
-
 fn insert_rec<V: Copy>(
     node: &mut Arc<Node<V>>,
     shift: u32,
@@ -310,7 +270,7 @@ fn insert_rec<V: Copy>(
     key: Symbol,
     value: V,
 ) -> Option<V> {
-    match make_mut(node) {
+    match Arc::make_mut(node) {
         Node::Leaf(k, v) if *k == key => Some(std::mem::replace(v, value)),
         leaf @ Node::Leaf(..) => {
             let Node::Leaf(k0, v0) = *leaf else {
@@ -380,7 +340,7 @@ fn remove_rec<V: Copy>(
         }
         Node::Leaf(..) => {}
     }
-    let (removed, collapse) = match make_mut(node) {
+    let (removed, collapse) = match Arc::make_mut(node) {
         Node::Leaf(_, v) => return (Some(*v), true),
         Node::Branch { bitmap, children } => {
             let bit = 1u32 << ((h >> shift) & LEVEL_MASK);
@@ -526,6 +486,69 @@ mod tests {
         b.remove(s(63));
         assert_eq!(b.diff_keys(&a), vec![s(63)], "missing key must be detected");
         assert_eq!(a.diff_keys(&PMap::new()).len(), 64);
+    }
+
+    /// The nodes of `b` not `Arc::ptr_eq`-shared with `a`: a walk of
+    /// `b` that stops at every node `a` also holds.
+    fn unshared_nodes<V>(a: &PMap<V>, b: &PMap<V>) -> usize {
+        fn collect<V>(n: &Arc<Node<V>>, out: &mut std::collections::HashSet<*const Node<V>>) {
+            out.insert(Arc::as_ptr(n));
+            if let Node::Branch { children, .. } = &**n {
+                children.iter().for_each(|c| collect(c, out));
+            }
+        }
+        fn count<V>(n: &Arc<Node<V>>, shared: &std::collections::HashSet<*const Node<V>>) -> usize {
+            match &**n {
+                _ if shared.contains(&Arc::as_ptr(n)) => 0,
+                Node::Leaf(..) => 1,
+                Node::Branch { children, .. } => {
+                    1 + children.iter().map(|c| count(c, shared)).sum::<usize>()
+                }
+            }
+        }
+        let mut shared = std::collections::HashSet::new();
+        a.root.iter().for_each(|n| collect(n, &mut shared));
+        b.root.iter().map(|n| count(n, &shared)).sum()
+    }
+
+    /// Nodes on the longest root-to-leaf path.
+    fn depth<V>(n: Option<&Arc<Node<V>>>) -> usize {
+        match n.map(|n| &**n) {
+            None => 0,
+            Some(Node::Leaf(..)) => 1,
+            Some(Node::Branch { children, .. }) => {
+                1 + children.iter().map(|c| depth(Some(c))).max().unwrap_or(0)
+            }
+        }
+    }
+
+    #[test]
+    fn a_write_to_a_snapshot_copies_one_path() {
+        let mut m: PMap<u32> = PMap::new();
+        for i in 0..1000 {
+            m.insert(s(i), i);
+        }
+        let mut overwritten = m.clone();
+        overwritten.insert(s(500), 0);
+        let mut grown = m.clone();
+        grown.insert(s(1000), 1000);
+        let mut shrunk = m.clone();
+        shrunk.remove(s(10));
+        for copy in [&overwritten, &grown, &shrunk] {
+            let unshared = unshared_nodes(&m, copy);
+            let depth = depth(copy.root.as_ref());
+            assert!(
+                (1..=depth).contains(&unshared),
+                "{unshared} nodes copied for one write to a depth-{depth} trie"
+            );
+        }
+        assert_eq!(
+            unshared_nodes(&m, &m.clone()),
+            0,
+            "a snapshot shares its root"
+        );
+        assert_eq!(m.len(), 1000);
+        assert_eq!(m.get(s(500)), Some(&500), "the snapshot is untouched");
     }
 
     #[test]

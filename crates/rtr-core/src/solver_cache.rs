@@ -778,7 +778,6 @@ impl Checker {
 
     /// Cache-effectiveness counters of the live regex session (zeroes
     /// when no string-theory query has run yet).
-    #[cfg(feature = "stats")]
     pub(crate) fn re_session_stats(&self) -> rtr_solver::re::ReSessionStats {
         self.caches()
             .re_oracle

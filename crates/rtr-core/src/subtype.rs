@@ -102,7 +102,7 @@ impl Checker {
             env.generation()
         };
         let key = (generation, a, b);
-        if let Some(verdict) = self.caches().subtype.lookup(key, fuel) {
+        if let Some(verdict) = self.caches().subtype.lookup_at(&key, fuel) {
             return verdict;
         }
         // No cycle guard: λ_RTR types are finite trees, so subtyping has
@@ -119,7 +119,7 @@ impl Checker {
         // Post-trip verdicts are conservative degradations; keep them
         // out of the budget-agnostic memo (see `crate::budget`).
         if self.may_store() {
-            self.caches().subtype.store(key, fuel, verdict);
+            self.caches().subtype.store_at(key, fuel, verdict);
         }
         verdict
     }

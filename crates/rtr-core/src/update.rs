@@ -175,7 +175,7 @@ impl Checker {
             return self.overlap(&t.get(), &s.get());
         }
         let key = (t, s);
-        if let Some(verdict) = self.caches().overlap.lookup(key) {
+        if let Some(verdict) = self.caches().overlap.lookup(&key) {
             return verdict;
         }
         let verdict = self.overlap(&t.get(), &s.get());
@@ -199,7 +199,7 @@ impl Checker {
         match &*tree {
             Ty::Union(ts) if ts.is_empty() => true,
             Ty::Union(_) | Ty::Pair(_, _) | Ty::Refine(_) => {
-                if let Some(verdict) = self.caches().empty.lookup(t) {
+                if let Some(verdict) = self.caches().empty.lookup(&t) {
                     return verdict;
                 }
                 let verdict = self.is_empty_structural(&tree);

@@ -43,3 +43,35 @@ fn recovery_agrees_with_the_nested_encoding() {
         }
     }
 }
+
+/// Existentials a define's right-hand side opens are quantified in the
+/// module's value exactly as T-Let quantifies them in the nested
+/// encoding: the whole type-result (quantifier prefix, propositions and
+/// object) renders the same up to fresh-name numbers.
+#[test]
+fn module_values_quantify_right_hand_side_existentials() {
+    let sources = [
+        "(define n 10) (define m : Int (+ n 1)) (+ n m)",
+        "(: f : [x : Int] -> Int) (define (f x) x) (define n (f 3)) (+ n 1)",
+        "(: f : [x : Int] -> Int) (define (f x) x) (define n (f 3)) (f n) (+ n 1)",
+    ];
+    for checker in [
+        Checker::default(),
+        Checker::with_config(CheckerConfig::lambda_tr()),
+    ] {
+        for src in sources {
+            let module = rtr_lang::check_module_source(src, &checker)
+                .value
+                .expect("a clean module has a value");
+            let program = rtr_lang::elaborate_module(src).expect("elaborates");
+            let nested = checker
+                .check_program(&program)
+                .expect("nested encoding checks");
+            assert_eq!(
+                common::normalize(&module.to_string()),
+                common::normalize(&nested.to_string()),
+                "module values differ on\n{src}\nmodule: {module}\nnested: {nested}"
+            );
+        }
+    }
+}

@@ -38,7 +38,7 @@ type LitId = (u32, bool);
 type LangKey = Vec<LitId>;
 
 /// Cache-effectiveness counters for one session.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReSessionStats {
     /// Literal-DFA cache hits (compile + complement + minimize skipped).
     pub dfa_hits: u64,

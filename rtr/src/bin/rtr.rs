@@ -25,9 +25,9 @@
 //! * `--json` — with `check`, emit the `rtr-check-v1` report on stdout.
 //! * `--jobs N` — with `check`, shard multiple files over N worker
 //!   threads (default: serial).
-//! * `--stats` — with `check`, print memo-table hit/miss counters and
-//!   budget-consumption gauges after checking (requires a build with
-//!   the `stats` Cargo feature).
+//! * `--stats` — with `check`, print memo-table hit/miss counters,
+//!   case-split, regex-session and arena counters, and
+//!   budget-consumption gauges after checking.
 //! * `--timeout-ms N` — with `check`, a wall-clock budget per file;
 //!   items past the deadline degrade to `E0202` diagnostics instead of
 //!   running forever (see the README's Robustness section).
@@ -573,9 +573,9 @@ fn run_command(src: &str, opts: &Options) -> ExitCode {
     }
 }
 
-/// Prints per-table memo hit/miss counters (cache effectiveness),
-/// environment-map sharing stats and interner arena-region sizes.
-#[cfg(feature = "stats")]
+/// Prints the checker's counters: per-table memo hits/misses, case
+/// splits, regex-session reuse, interner arena-region sizes and budget
+/// consumption.
 fn print_cache_stats(checker: &Checker) {
     let s = checker.cache_stats();
     eprintln!("cache stats (hits/misses):");
@@ -613,21 +613,6 @@ fn print_cache_stats(checker: &Checker) {
         re.witness_hits,
         re.witness_misses
     );
-    let e = rtr::core::env::env_stats();
-    eprintln!("environment maps:");
-    eprintln!(
-        "  snapshots      {:>10}   unbind fast-path {}/{}",
-        e.snapshots, e.unbind_fast, e.unbind_total
-    );
-    let share = if e.pmap_entries_spared == 0 {
-        100.0
-    } else {
-        (1.0 - e.pmap_nodes_cloned as f64 / e.pmap_entries_spared as f64) * 100.0
-    };
-    eprintln!(
-        "  pmap writes    {:>10}   nodes cloned {} / entries spared {} ({share:.1}% structural share)",
-        e.pmap_writes, e.pmap_nodes_cloned, e.pmap_entries_spared
-    );
     let a = rtr::core::intern::arena_stats();
     eprintln!("interner arenas (permanent / fresh-region):");
     eprintln!(
@@ -647,23 +632,6 @@ fn print_cache_stats(checker: &Checker) {
     eprintln!(
         "  depth high-water {}   deadline {margin}   limit trips {}",
         b.depth_high_water, b.trips
-    );
-    let i = rtr::core::incremental::stats::incr_stats();
-    eprintln!("incremental re-checking (per-item fingerprints):");
-    eprintln!(
-        "  cache lookups  {:>10} usable / {:<10} missing",
-        i.fp_hits, i.fp_misses
-    );
-    eprintln!(
-        "  items          rechecked {}   spliced {}   early-cutoff stops {}",
-        i.rechecked, i.skipped, i.cutoff_stopped
-    );
-}
-
-#[cfg(not(feature = "stats"))]
-fn print_cache_stats(_checker: &Checker) {
-    eprintln!(
-        "rtr: --stats requires a build with the `stats` feature (cargo build --features stats)"
     );
 }
 

@@ -145,6 +145,37 @@ fn version_flag_prints_the_version() {
 }
 
 #[test]
+fn check_stats_prints_the_checker_counters() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/expansion.rtr");
+    let out = rtr()
+        .args(["check", "--stats", path])
+        .output()
+        .expect("spawn");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let (_, stats) = stderr
+        .split_once("cache stats (hits/misses):")
+        .unwrap_or_else(|| panic!("no cache stats header: {stderr}"));
+    let subtype_hits: u64 = stats
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("subtype"))
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|hits| hits.parse().ok())
+        .unwrap_or_else(|| panic!("no subtype counter: {stats}"));
+    assert!(
+        subtype_hits > 0,
+        "the subtype memo table never hit: {stats}"
+    );
+    for section in [
+        "case splits:",
+        "regex session",
+        "interner arenas",
+        "budget (steps per judgment):",
+    ] {
+        assert!(stats.contains(section), "no {section} section: {stats}");
+    }
+}
+
+#[test]
 fn check_accepts_multiple_files_and_reports_each() {
     let ok = fixture("multi_ok.rtr", "(define (id [x : Int]) x) (id 1)");
     let bad = fixture("multi_bad.rtr", "(define (b [x : Int]) (add1 x)) (b #t)");
